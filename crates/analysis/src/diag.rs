@@ -18,6 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use commcsl_pure::term::Env;
+use commcsl_telemetry::json::Json;
 
 /// Stable machine-readable identifier of an obligation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -245,6 +246,63 @@ impl Failure {
         self.counterexample = Some(cex);
         self
     }
+}
+
+/// Decodes the optional `span` field of an object (`"line:col"`, the
+/// [`SourceSpan`] display form every encoder writes).
+pub fn span_from_json(doc: &Json) -> Result<Option<SourceSpan>, String> {
+    doc.get("span")
+        .map(|s| s.as_str().ok_or("`span` must be a string")?.parse())
+        .transpose()
+}
+
+/// Encodes a failure's fields: `reason`, then `counterexample` (an array
+/// of `{var, exec1, exec2}` objects) when one was found.
+pub fn failure_fields(failure: &Failure) -> Vec<(String, Json)> {
+    let mut fields = vec![("reason".to_owned(), Json::str(&failure.reason))];
+    if let Some(cex) = &failure.counterexample {
+        let bindings = cex
+            .bindings
+            .iter()
+            .map(|b| {
+                Json::obj([
+                    ("var", Json::str(&b.var)),
+                    ("exec1", Json::str(&b.exec1)),
+                    ("exec2", Json::str(&b.exec2)),
+                ])
+            })
+            .collect();
+        fields.push(("counterexample".to_owned(), Json::Arr(bindings)));
+    }
+    fields
+}
+
+/// Decodes the fields [`failure_fields`] writes (a missing `reason`
+/// reads as empty).
+pub fn failure_from_json(doc: &Json) -> Result<Failure, String> {
+    let failure = Failure::new(doc.get("reason").and_then(Json::as_str).unwrap_or_default());
+    let Some(cex) = doc.get("counterexample") else {
+        return Ok(failure);
+    };
+    let bindings = cex
+        .as_arr()
+        .ok_or("`counterexample` must be an array")?
+        .iter()
+        .map(|b| {
+            let field = |key: &str| {
+                b.get(key)
+                    .and_then(Json::as_str)
+                    .map(str::to_owned)
+                    .ok_or(format!("counterexample binding needs `{key}`"))
+            };
+            Ok(CexBinding {
+                var: field("var")?,
+                exec1: field("exec1")?,
+                exec2: field("exec2")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(failure.with_counterexample(Counterexample { bindings }))
 }
 
 #[cfg(test)]

@@ -13,11 +13,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use commcsl_pure::{Symbol, Term};
+use commcsl_telemetry::json::Json;
 
-use crate::diag::{DiagnosticCode, SourceSpan};
+use crate::diag::{span_from_json, DiagnosticCode, SourceSpan};
 use crate::lowness::analyze_lowness;
 use crate::prepass::goal_statically_valid;
-use crate::program::{AnnotatedProgram, StmtPath, VStmt};
+use crate::program::{path_from_json, path_to_json, AnnotatedProgram, StmtPath, VStmt};
 
 /// Stable machine-readable identifier of a lint kind.
 ///
@@ -165,6 +166,54 @@ impl fmt::Display for Lint {
             None => write!(f, "{}[{}]: {}", self.severity, self.code, self.message),
         }
     }
+}
+
+/// Encodes a finding's fields: `code`, `severity`, `span` (when known),
+/// `path` and `message`. The CLI's `lint --json`, the daemon's `lint`
+/// responses and events, and report `hints` all render findings this
+/// way; an event prepends its own framing fields.
+pub fn lint_fields(lint: &Lint) -> Vec<(String, Json)> {
+    let mut fields = vec![
+        ("code".to_owned(), Json::str(lint.code.as_str())),
+        ("severity".to_owned(), Json::str(lint.severity.as_str())),
+    ];
+    if let Some(span) = lint.span {
+        fields.push(("span".to_owned(), Json::str(span.to_string())));
+    }
+    fields.push(("path".to_owned(), path_to_json(&lint.path)));
+    fields.push(("message".to_owned(), Json::str(&lint.message)));
+    fields
+}
+
+/// Decodes the fields [`lint_fields`] writes. A missing `severity` reads
+/// as the code's default and a missing `path` as program-level.
+pub fn lint_from_json(doc: &Json) -> Result<Lint, String> {
+    let code = doc
+        .get("code")
+        .and_then(Json::as_str)
+        .ok_or("lint needs `code`")?
+        .parse::<LintCode>()?;
+    let severity = match doc.get("severity").and_then(Json::as_str) {
+        Some("warning") => Severity::Warning,
+        Some("note") => Severity::Note,
+        Some(other) => return Err(format!("unknown severity `{other}`")),
+        None => code.severity(),
+    };
+    Ok(Lint {
+        code,
+        severity,
+        path: doc
+            .get("path")
+            .map(path_from_json)
+            .transpose()?
+            .unwrap_or_default(),
+        span: span_from_json(doc)?,
+        message: doc
+            .get("message")
+            .and_then(Json::as_str)
+            .ok_or("lint needs `message`")?
+            .to_owned(),
+    })
 }
 
 /// Runs every lint pass over `program`, returning findings sorted by
@@ -559,6 +608,38 @@ mod tests {
 
     fn has(lints: &[Lint], code: LintCode) -> bool {
         lints.iter().any(|l| l.code == code)
+    }
+
+    #[test]
+    fn lint_json_has_pinned_bytes_and_decodes_back() {
+        let lint = Lint {
+            code: LintCode::UnusedVar,
+            severity: Severity::Note,
+            path: vec![2, 0],
+            span: Some(SourceSpan::new(15, 5)),
+            message: "variable `i` is \"bound\" but never read".into(),
+        };
+        let json = Json::Obj(lint_fields(&lint)).to_string();
+        assert_eq!(
+            json,
+            "{\"code\":\"unused-var\",\"severity\":\"note\",\"span\":\"15:5\",\"path\":[2,0],\
+             \"message\":\"variable `i` is \\\"bound\\\" but never read\"}"
+        );
+        assert_eq!(lint_from_json(&Json::parse(&json).unwrap()).unwrap(), lint);
+        // `severity` and `path` are optional on input; `code` and
+        // `message` are not.
+        let minimal = Json::parse("{\"code\":\"unused-var\",\"message\":\"m\"}").unwrap();
+        let decoded = lint_from_json(&minimal).unwrap();
+        assert_eq!(
+            (decoded.severity, decoded.path, decoded.span),
+            (Severity::Note, vec![], None)
+        );
+        for bad in [
+            "{\"code\":\"unused-var\"}",
+            "{\"code\":\"nope\",\"message\":\"m\"}",
+        ] {
+            assert!(lint_from_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
         min_rows.push(format!(
             "{{\"example\":{},\"plain_ms\":{plain_ms:.6},\"minimize_ms\":{min_ms:.6},\
              \"bindings_before\":{before},\"bindings_after\":{after}}}",
-            commcsl::verifier::report::json_string(name),
+            commcsl::telemetry::json::json_string(name),
         ));
     }
     let slowdown = min_total / plain_total;
@@ -98,7 +98,7 @@ fn main() {
         );
         core_rows.push(format!(
             "{{\"example\":{},\"plain_ms\":{plain_ms:.6},\"cores_ms\":{core_ms:.6}}}",
-            commcsl::verifier::report::json_string(&program.name),
+            commcsl::telemetry::json::json_string(&program.name),
         ));
     }
     let core_overhead = core_total / scale_plain_total - 1.0;

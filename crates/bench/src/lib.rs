@@ -85,7 +85,7 @@ pub fn table1_rows_parallel(runs: u32, threads: usize) -> Vec<Table1Row> {
 /// newline) for append-style benchmark trajectories such as
 /// `BENCH_table1.json`: one run per line, each self-describing.
 pub fn table1_json(rows: &[Table1Row], runs: u32, threads: usize) -> String {
-    use commcsl::verifier::report::json_string;
+    use commcsl::telemetry::json::json_string;
     let rendered: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -558,7 +558,7 @@ pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
 /// Renders the incremental bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn incremental_json(run: &IncrementalBench, runs: u32) -> String {
-    use commcsl::verifier::report::json_string;
+    use commcsl::telemetry::json::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()
@@ -698,7 +698,7 @@ pub fn reverify_bench(edits: u32) -> ReverifyBench {
 /// Renders the edit-loop bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn reverify_json(run: &ReverifyBench, edits: u32) -> String {
-    use commcsl::verifier::report::json_string;
+    use commcsl::telemetry::json::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()
@@ -825,7 +825,7 @@ pub fn static_prepass_bench(runs: u32) -> StaticPrepassBench {
 /// Renders the static-pre-pass bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn static_prepass_json(run: &StaticPrepassBench, runs: u32) -> String {
-    use commcsl::verifier::report::json_string;
+    use commcsl::telemetry::json::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()

@@ -27,7 +27,7 @@ use commcsl::server::client::Client;
 use commcsl::server::daemon::{Server, ServerConfig};
 use commcsl::server::json::Json;
 use commcsl::server::protocol::{request_id_of, Request};
-use commcsl::telemetry::Histogram;
+use commcsl::telemetry::{histogram_to_json, Histogram};
 use commcsl::verifier::cache::CacheConfig;
 use commcsl::verifier::program::AnnotatedProgram;
 use commcsl::verifier::report::VerifierConfig;
@@ -435,13 +435,13 @@ pub fn loadgen_run(config: &LoadgenConfig) -> LoadgenRun {
     }
 
     let merged = merged.into_inner().expect("merge lock");
-    let histogram_json = {
-        let fields: Vec<String> = merged
+    let histogram_json = Json::Obj(
+        merged
             .iter()
-            .map(|(op, h)| format!("{}:{}", Json::str(op), h.to_json()))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    };
+            .map(|(op, h)| (op.clone(), histogram_to_json(h)))
+            .collect(),
+    )
+    .to_string();
     let daemon_by_op: BTreeMap<&str, &Histogram> = daemon_hists
         .iter()
         .map(|(op, h)| (op.as_str(), h))

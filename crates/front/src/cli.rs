@@ -65,23 +65,23 @@ use std::time::Duration;
 
 use std::sync::Arc;
 
-use commcsl_analysis::lint::{lint_program, Lint, Severity};
+use commcsl_analysis::lint::{lint_fields, lint_program, Lint, Severity};
 use commcsl_cluster::{RemoteCacheClient, ShardPool};
 use commcsl_server::client::{connect_or_start, Client};
 use commcsl_server::daemon::{Server, ServerConfig};
-use commcsl_server::json::Json as WireJson;
-use commcsl_server::protocol::{histogram_to_json, StatusInfo, VerifyItem};
-use commcsl_telemetry::{Histogram, MetricsSnapshot};
+use commcsl_server::protocol::{StatusInfo, VerifyItem};
 use commcsl_smt::{BackendKind, SessionStats};
 use commcsl_telemetry::export::{
     attributed_ns, by_label, chrome_trace, folded_stacks, FoldedWeight,
 };
+use commcsl_telemetry::json::{json_string, Json as WireJson};
 use commcsl_telemetry::{counter_add, finish_capture, start_capture, Capture};
+use commcsl_telemetry::{histogram_to_json, snapshot_to_json, Histogram, MetricsSnapshot};
 use commcsl_verifier::api::Verifier;
 use commcsl_verifier::cache::CacheConfig;
 use commcsl_verifier::obligation::DischargeStats;
 use commcsl_verifier::program::AnnotatedProgram;
-use commcsl_verifier::report::{json_string, VerifierConfig, VerifierReport};
+use commcsl_verifier::report::{VerifierConfig, VerifierReport};
 
 use crate::compile;
 
@@ -2040,16 +2040,7 @@ fn run_daemon_top(
                             .collect(),
                     ),
                 ),
-                (
-                    "counters",
-                    WireJson::Obj(
-                        metrics
-                            .counters
-                            .iter()
-                            .map(|(n, v)| (n.clone(), WireJson::Num(*v as f64)))
-                            .collect(),
-                    ),
-                ),
+                ("counters", snapshot_to_json(&metrics)),
             ]);
             let _ = writeln!(out, "{doc}");
         } else {
@@ -2311,7 +2302,10 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
             })
             .collect();
         entries.extend(file_lints.iter().map(|(file, lints)| {
-            let rendered: Vec<String> = lints.iter().map(lint_json).collect();
+            let rendered: Vec<String> = lints
+                .iter()
+                .map(|l| WireJson::Obj(lint_fields(l)).to_string())
+                .collect();
             format!(
                 "{{\"file\":{},\"lints\":[{}]}}",
                 json_string(&file.display().to_string()),
@@ -2359,27 +2353,6 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
         );
     }
     code
-}
-
-/// One lint finding, same field shapes as the v2 protocol's `lint` events
-/// (minus the `event`/`name` envelope).
-fn lint_json(lint: &Lint) -> String {
-    let span = lint
-        .span
-        .as_ref()
-        .map(|s| format!("\"span\":{},", json_string(&s.to_string())))
-        .unwrap_or_default();
-    format!(
-        "{{\"code\":{},\"severity\":{},{span}\"path\":[{}],\"message\":{}}}",
-        json_string(lint.code.as_str()),
-        json_string(lint.severity.as_str()),
-        lint.path
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        json_string(&lint.message)
-    )
 }
 
 // --------------------------------------------------------------------- fmt

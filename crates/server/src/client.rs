@@ -14,11 +14,9 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use commcsl_telemetry::MetricsSnapshot;
+use commcsl_telemetry::json::Json;
+use commcsl_telemetry::{Histogram, MetricsSnapshot};
 
-use commcsl_telemetry::Histogram;
-
-use crate::json::Json;
 use crate::protocol::{
     cache_get_from_json, cache_put_from_json, doc_outcome_from_json,
     histograms_from_json, lint_outcome_from_json, logs_from_json,

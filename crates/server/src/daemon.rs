@@ -37,9 +37,9 @@ use commcsl_verifier::workspace::{Workspace, WorkspaceEvent};
 
 use commcsl_analysis::lint::lint_program;
 
+use commcsl_telemetry::json::Json;
 use commcsl_telemetry::{EventLog, Histogram, MetricsSnapshot};
 
-use crate::json::Json;
 use crate::protocol::{
     cache_get_response_json, cache_put_response_json, doc_response_json,
     error_json, histograms_response_json, lint_event_json, lint_response_json,
@@ -1236,7 +1236,7 @@ mod unix_transport {
 mod tests {
     use commcsl_pure::{Sort, Term};
     use commcsl_verifier::program::VStmt;
-    use commcsl_verifier::report::json_string;
+    use commcsl_telemetry::json::json_string;
 
     use super::*;
 

@@ -10,15 +10,15 @@
 //!
 //! The pieces:
 //!
-//! * [`json`] — a dependency-free JSON parser/writer (the vendored
-//!   `serde` is a stub),
+//! * [`json`] — the workspace's JSON codec, re-exported from
+//!   `commcsl-telemetry` where it lives,
 //! * [`protocol`] — the newline-delimited JSON request/response schema:
 //!   protocol v1 (`verify`, `verify_batch`, `status`, `shutdown`) plus
 //!   the v2 workspace-session ops (`hello` version negotiation,
 //!   `open`/`update`/`close`, `subscribe` for the streaming
-//!   `started`/`obligation_done`/`report` event channel), and the codec
-//!   that round-trips [`commcsl_verifier::report::VerifierReport`]
-//!   byte-identically,
+//!   `started`/`obligation_done`/`report` event channel), embedding
+//!   [`commcsl_verifier::report::VerifierReport`]s in the shape of their
+//!   one codec, [`protocol::report_to_json`],
 //! * [`daemon`] — the [`Server`](daemon::Server): per-connection
 //!   [`Session`](daemon::Session)s (each owning a
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
@@ -62,8 +62,9 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod protocol;
+
+pub use commcsl_telemetry::json;
 
 pub use client::{connect_with_retry, Client, ClientError};
 pub use daemon::{

@@ -329,3 +329,40 @@ fn second_daemon_on_a_live_socket_is_refused() {
     });
     fs::remove_dir_all(&base).ok();
 }
+
+#[test]
+fn deeply_nested_request_line_is_an_error_response_not_a_crash() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let base = temp_base("deep");
+    let socket = base.join("commcsl.sock");
+    let server = front_server(CacheConfig::memory_only(16));
+
+    thread::scope(|scope| {
+        let _stop = StopOnDrop(&server);
+        let daemon = scope.spawn(|| server.serve_unix(&socket));
+        connect_or_start(&socket, Duration::from_secs(5), || Ok(())).expect("daemon up");
+
+        // One NDJSON line of 200,000 `[`: the parser refuses it at its
+        // depth bound and the session answers with an error line.
+        let mut raw = UnixStream::connect(&socket).expect("raw connection");
+        raw.write_all(format!("{}\n", "[".repeat(200_000)).as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        BufReader::new(&raw)
+            .read_line(&mut response)
+            .expect("response");
+        assert!(response.starts_with("{\"ok\":false"), "{response}");
+        assert!(response.contains("nesting deeper than"), "{response}");
+        drop(raw);
+
+        // The daemon is still up for new connections.
+        let mut client = Client::connect(&socket).expect("new session");
+        let status = client.status().expect("status still answers");
+        assert!(status.requests >= 1, "{status:?}");
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("no panic").expect("clean exit");
+    });
+    fs::remove_dir_all(&base).ok();
+}

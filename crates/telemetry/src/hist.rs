@@ -34,6 +34,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::json::Json;
+
 /// A log-linear bucketed histogram of `u64` samples.
 ///
 /// ```
@@ -283,23 +285,62 @@ impl Histogram {
     /// histograms over the same values (in any order, via any
     /// record/merge tree) render byte-identically.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .map(|(i, c)| format!("[{i},{c}]"))
-            .collect();
-        format!(
-            "{{\"buckets\":[{}],\"count\":{},\"max\":{},\"min\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{},\"sum\":{}}}",
-            buckets.join(","),
-            self.count,
-            self.max(),
-            self.min(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.sum,
-        )
+        histogram_to_json(self).to_string()
     }
+}
+
+/// Encodes a histogram in its canonical JSON shape (see
+/// [`Histogram::to_json`]): `buckets` as `[index, count]` pairs, then
+/// `count`, `max`, `min`, `p50`, `p90`, `p99` and `sum`. Samples are
+/// nanoseconds; every value is exact below 2⁵³ ns (~104 days).
+pub fn histogram_to_json(hist: &Histogram) -> Json {
+    let num = |n: u64| Json::Num(n as f64);
+    Json::obj([
+        (
+            "buckets",
+            Json::Arr(
+                hist.nonzero_buckets()
+                    .map(|(index, count)| Json::Arr(vec![num(index as u64), num(count)]))
+                    .collect(),
+            ),
+        ),
+        ("count", num(hist.count())),
+        ("max", num(hist.max())),
+        ("min", num(hist.min())),
+        ("p50", num(hist.quantile(0.50))),
+        ("p90", num(hist.quantile(0.90))),
+        ("p99", num(hist.quantile(0.99))),
+        ("sum", num(hist.sum())),
+    ])
+}
+
+/// Decodes a [`histogram_to_json`] document. The derived `p50`/`p90`/
+/// `p99` fields are recomputed from the buckets, not trusted, and a
+/// `count` that disagrees with the buckets is an error.
+pub fn histogram_from_json(doc: &Json) -> Result<Histogram, String> {
+    let num = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("histogram needs numeric `{key}`"))
+    };
+    let buckets = doc
+        .get("buckets")
+        .and_then(Json::as_arr)
+        .ok_or("histogram needs a `buckets` array")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([index, count]) => match (index.as_u64(), count.as_u64()) {
+                (Some(index), Some(count)) => Ok((index as usize, count)),
+                _ => Err("histogram buckets must hold non-negative integers".to_owned()),
+            },
+            _ => Err("histogram buckets must be [index, count] pairs".to_owned()),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let hist = Histogram::from_parts(num("sum")?, num("min")?, num("max")?, &buckets)?;
+    if hist.count() != num("count")? {
+        return Err("histogram `count` does not match its buckets".into());
+    }
+    Ok(hist)
 }
 
 /// The process-global histogram registry. Always on (unlike the
@@ -453,6 +494,31 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ba, merged);
         assert_eq!(ab.to_json(), merged.to_json());
+    }
+
+    #[test]
+    fn json_has_pinned_bytes_and_decodes_back() {
+        let mut hist = Histogram::new();
+        for v in [0u64, 1, 1, 40, 1_000, 1_000_000, 123_456_789] {
+            hist.record(v);
+        }
+        let json = hist.to_json();
+        assert_eq!(
+            json,
+            "{\"buckets\":[[0,1],[1,2],[40,1],[190,1],[509,1],[730,1]],\"count\":7,\
+             \"max\":123456789,\"min\":0,\"p50\":40,\"p90\":123456789,\"p99\":123456789,\
+             \"sum\":124457831}"
+        );
+        let back = histogram_from_json(&Json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back, hist);
+
+        // Tampered documents are rejected.
+        assert!(histogram_from_json(&Json::parse("{\"buckets\":[]}").unwrap()).is_err());
+        let wrong_count = "{\"buckets\":[[1,1]],\"count\":2,\"max\":1,\"min\":1,\
+                           \"p50\":1,\"p90\":1,\"p99\":1,\"sum\":1}";
+        assert!(histogram_from_json(&Json::parse(wrong_count).unwrap()).is_err());
+        let bad_pair = "{\"buckets\":[[1]],\"count\":1,\"max\":1,\"min\":1,\"sum\":1}";
+        assert!(histogram_from_json(&Json::parse(bad_pair).unwrap()).is_err());
     }
 
     #[test]

@@ -1,16 +1,57 @@
-//! A minimal, dependency-free JSON value type with a parser and writer.
+//! The workspace's JSON codec: a dependency-free value type with a
+//! parser and a canonical writer.
 //!
-//! The workspace's vendored `serde` is a marker-impl stub, so the daemon
-//! protocol (and the tests that round-trip `VerifierReport::to_json`)
-//! need a real JSON implementation. This one covers exactly what the
-//! protocol uses: the full JSON grammar on input (including `\uXXXX`
-//! escapes and surrogate pairs), and a canonical single-line rendering on
-//! output whose string escaping matches
-//! [`commcsl_verifier::report::json_string`].
+//! Every JSON document the workspace reads or writes goes through
+//! [`Json`]: verifier reports and lints, histograms and metrics
+//! snapshots, verdict- and obligation-cache entries, the daemon protocol,
+//! LSP frames and exported traces. It lives in this dependency-free crate
+//! so each of those shapes can keep its one encoder and one decoder next
+//! to its type. Input accepts the full JSON grammar (including `\uXXXX`
+//! escapes and surrogate pairs) up to [`MAX_DEPTH`] levels of nesting;
+//! output is a canonical single-line rendering (fields in insertion
+//! order, no whitespace) whose string escaping is [`json_string`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use commcsl_verifier::report::json_string;
+/// The deepest array/object nesting [`Json::parse`] accepts. Deeper
+/// input is an `Err`, not a stack overflow: the parser recurses once per
+/// level, and request lines and LSP frames come from untrusted peers.
+/// The workspace's own documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Escapes `s` as a JSON string literal (quotes included): `"` and `\`
+/// are backslash-escaped, `\n`/`\r`/`\t` use their short forms, other
+/// C0 controls become `\u00XX`, and everything else passes through raw
+/// (JSON strings are UTF-8).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    let _ = write_string(&mut out, s);
+    out
+}
+
+/// Writes `s` as a JSON string literal, copying each run of characters
+/// that needs no escape as one slice.
+fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c)?,
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,11 +133,14 @@ impl Json {
     }
 
     /// Parses a JSON document. The whole input must be consumed (modulo
-    /// surrounding whitespace).
+    /// surrounding whitespace), and arrays and objects may nest at most
+    /// [`MAX_DEPTH`] levels deep. Time is linear in the input length.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -123,34 +167,39 @@ impl fmt::Display for Json {
                     f.write_str("null") // JSON has no NaN/inf
                 }
             }
-            Json::Str(s) => f.write_str(&json_string(s)),
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                f.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
-                f.write_str("]")
+                f.write_char(']')
             }
             Json::Obj(fields) => {
-                f.write_str("{")?;
+                f.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{}:{v}", json_string(k))?;
+                    write_string(f, k)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
                 }
-                f.write_str("}")
+                f.write_char('}')
             }
         }
     }
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,8 +242,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -202,6 +251,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -288,66 +352,48 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX for the
-                                // low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
-                                }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code).ok_or("bad surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("bad \\u escape")?
-                            };
-                            out.push(c);
+            // Copy the run up to the next `"` or `\` as one slice: both
+            // are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: require \uXXXX for the low half.
+                        if !self.bytes[self.pos..].starts_with(b"\\u") {
+                            return Err("lone high surrogate".into());
                         }
-                        other => {
-                            return Err(format!("bad escape `\\{}`", other as char))
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err("bad low surrogate".into());
                         }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let tail = std::str::from_utf8(rest)
-                        .map_err(|_| "non-utf8 string content".to_owned())?;
-                    let c = tail.chars().next().ok_or("unterminated string")?;
+                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(code).ok_or("bad surrogate pair")?
+                    } else {
+                        char::from_u32(hi).ok_or("bad \\u escape")?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                other => return Err(format!("bad escape `\\{}`", other as char)),
             }
         }
     }
@@ -366,6 +412,8 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -396,6 +444,12 @@ mod tests {
             "control \u{1} \u{1f}",
             "unicode ü λ 中",
             "emoji 🦀 (surrogate pair in \\u form)",
+            // Escapes next to multi-byte characters.
+            "中\"",
+            "\\é",
+            "🦀\n🦀",
+            "é\\\"中",
+            "",
         ] {
             let rendered = Json::str(s).to_string();
             assert_eq!(Json::parse(&rendered).unwrap(), Json::str(s), "{rendered}");
@@ -404,6 +458,10 @@ mod tests {
         assert_eq!(
             Json::parse("\"\\u0041\\u00e9\\ud83e\\udd80\"").unwrap(),
             Json::str("Aé🦀")
+        );
+        assert_eq!(
+            Json::parse("\"中\\u00e9🦀\\n\"").unwrap(),
+            Json::str("中é🦀\n")
         );
     }
 
@@ -414,6 +472,80 @@ mod tests {
             "\"\\q\"", "\"\\ud800\"", "[1] trailing",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn json_escaping_covers_specials() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn json_escaping_edge_cases() {
+        // Every C0 control character must come out escaped; the named
+        // short forms win where JSON defines them.
+        for c in (0u32..0x20).map(|c| char::from_u32(c).unwrap()) {
+            let rendered = json_string(&c.to_string());
+            let expected = match c {
+                '\n' => "\"\\n\"".to_owned(),
+                '\r' => "\"\\r\"".to_owned(),
+                '\t' => "\"\\t\"".to_owned(),
+                _ => format!("\"\\u{:04x}\"", c as u32),
+            };
+            assert_eq!(rendered, expected, "control char {:#x}", c as u32);
+        }
+        // Backslash runs and quote/backslash adjacency do not collapse.
+        assert_eq!(json_string("\\\\"), "\"\\\\\\\\\"");
+        assert_eq!(json_string("\\\""), "\"\\\\\\\"\"");
+        // Non-ASCII passes through raw (JSON strings are UTF-8).
+        assert_eq!(json_string("αβ 中 🦀"), "\"αβ 中 🦀\"");
+        // DEL (0x7f) is not a C0 control and needs no escape.
+        assert_eq!(json_string("\u{7f}"), "\"\u{7f}\"");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any string, built from escapable ASCII, controls and
+        /// multi-byte characters in any order, survives `Display` then
+        /// `parse` unchanged, as a value and as an object key.
+        #[test]
+        fn arbitrary_strings_roundtrip(chars in proptest::collection::vec(
+            prop_oneof![
+                Just(u32::from('"')),
+                Just(u32::from('\\')),
+                Just(u32::from('/')),
+                0u32..0x20,
+                0x20u32..0x7f,
+                0x80u32..0x800,
+                0x800u32..0xd800,
+                0xe000u32..0x110000,
+            ]
+            .prop_map(|c| char::from_u32(c).unwrap()),
+            0..40,
+        )) {
+            let s: String = chars.into_iter().collect();
+            let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::str(&s)]))]);
+            prop_assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
         }
     }
 

@@ -44,6 +44,14 @@
 //! request; the protocol's `histograms` and `logs` ops read them back
 //! (see `docs/observability.md`).
 //!
+//! # JSON
+//!
+//! [`json`] is the workspace's one JSON codec (value type, parser and
+//! canonical writer). It lives here, at the bottom of the dependency
+//! graph, so every crate that emits JSON shares it; this crate's own
+//! shapes — [`histogram_to_json`] and [`snapshot_to_json`], with their
+//! decoders — are built on it.
+//!
 //! # Exporters
 //!
 //! * [`export::chrome_trace`] — Chrome trace-event JSON (an array of
@@ -78,10 +86,12 @@
 pub mod eventlog;
 pub mod export;
 pub mod hist;
+pub mod json;
 
 pub use eventlog::{EventLog, EventRecord};
 pub use hist::{
-    histogram_record, histogram_record_duration, histogram_reset, histogram_snapshot, Histogram,
+    histogram_from_json, histogram_record, histogram_record_duration, histogram_reset,
+    histogram_snapshot, histogram_to_json, Histogram,
 };
 
 use std::cell::RefCell;
@@ -89,6 +99,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// Global arm/disarm flag. Read on every instrumented call site, so it
 /// must stay a single relaxed atomic load.
@@ -412,13 +424,38 @@ impl MetricsSnapshot {
     /// Renders `{"name":value,...}` (sorted, one line, no trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
+        snapshot_to_json(self).to_string()
+    }
+}
+
+/// Encodes a snapshot as one flat JSON object, `{"name":value,...}` in
+/// name order.
+pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
+    Json::Obj(
+        snapshot
             .counters
             .iter()
-            .map(|(name, value)| format!("{}:{value}", export::json_string(name)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    }
+            .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
+            .collect(),
+    )
+}
+
+/// Decodes the object [`snapshot_to_json`] renders; every value must be
+/// a non-negative integer.
+pub fn snapshot_from_json(doc: &Json) -> Result<MetricsSnapshot, String> {
+    let Json::Obj(fields) = doc else {
+        return Err("metrics snapshot must be an object".into());
+    };
+    let pairs = fields
+        .iter()
+        .map(|(name, value)| {
+            value
+                .as_u64()
+                .map(|v| (name.clone(), v))
+                .ok_or_else(|| format!("counter `{name}` must be a non-negative integer"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(MetricsSnapshot::from_pairs(pairs))
 }
 
 #[cfg(test)]
@@ -495,6 +532,21 @@ mod tests {
         // Worker spans do not inherit the spawning thread's stack.
         for span in capture.spans.iter().filter(|s| s.label() == "test.worker") {
             assert_eq!(span.path, vec!["test.worker"]);
+        }
+    }
+
+    #[test]
+    fn snapshot_json_has_pinned_bytes_and_decodes_back() {
+        let snapshot = MetricsSnapshot::from_pairs([
+            ("daemon.requests".to_owned(), 17),
+            ("cache.misses".to_owned(), 3),
+        ]);
+        let json = snapshot.to_json();
+        assert_eq!(json, "{\"cache.misses\":3,\"daemon.requests\":17}");
+        let back = snapshot_from_json(&Json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back, snapshot);
+        for bad in ["[]", "{\"a\":-1}", "{\"a\":\"1\"}", "{\"a\":1.5}"] {
+            assert!(snapshot_from_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
         }
     }
 

@@ -12,9 +12,11 @@
 //!   (temp file + rename) so a crash mid-write never leaves a readable
 //!   half-verdict.
 //!
-//! Invalidation is structural, never temporal: a verdict file is only
-//! served when its header version matches, its embedded key matches the
-//! requested hash, and its body parses completely. Any mismatch —
+//! Invalidation is structural, never temporal: entries are canonical
+//! JSON documents that name their format, version and key, and a verdict
+//! file is only served when its text is exactly the encoding of what it
+//! decodes to under the requested key and this build's version. Any
+//! mismatch —
 //! including a [`HASH_FORMAT_VERSION`](crate::hash::HASH_FORMAT_VERSION)
 //! bump, which changes every key and the tier directory name — is a
 //! cache **miss**, never a stale verdict.
@@ -40,456 +42,78 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use commcsl_telemetry::json::Json;
+
 use crate::batch::{verify_batch_stored, BatchConfig};
-use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 use crate::hash::{program_hash, ProgramHash, HASH_FORMAT_VERSION};
 use crate::obligation::{ObligationKey, ObligationStore};
-use crate::program::{AnnotatedProgram, StmtPath};
+use crate::program::AnnotatedProgram;
 use crate::report::{
-    CoreFact, Lint, LintCode, ObligationResult, ObligationStatus, Severity, VerifierConfig,
-    VerifierReport,
+    report_from_json, report_to_json, status_fields, status_from_json, ObligationStatus,
+    VerifierConfig, VerifierReport,
 };
 
-// ---------------------------------------------------------------- verdict
-// file format: a line-based, escaped, self-validating encoding.
+// ---------------------------------------------------------------- entries
 
-const VERDICT_MAGIC: &str = "commcsl-verdict";
+const VERDICT_FORMAT: &str = "commcsl-verdict";
+const OBLIGATION_FORMAT: &str = "commcsl-obligation";
 
-/// Escapes one field for the verdict file (tabs, newlines, backslashes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
+/// The header every entry starts with: its format tag, the
+/// [`HASH_FORMAT_VERSION`] that wrote it, and its own address.
+fn entry_header(format: &str, key: impl std::fmt::Display) -> Vec<(String, Json)> {
+    vec![
+        ("format".to_owned(), Json::str(format)),
+        (
+            "version".to_owned(),
+            Json::Num(f64::from(HASH_FORMAT_VERSION)),
+        ),
+        ("key".to_owned(), Json::str(key.to_string())),
+    ]
 }
 
-/// Inverse of [`escape`]; `None` on malformed escapes (treated as a
-/// corrupt file ⇒ cache miss).
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Renders an obligation's code and optional span as the two leading
-/// tab-separated fields shared by `proved`/`failed` lines (`-` = no span).
-fn encode_code_span(o: &ObligationResult) -> String {
-    let span = o
-        .span
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| "-".to_owned());
-    format!("{}\t{}", o.code.as_str(), span)
-}
-
-fn decode_code_span(code: &str, span: &str) -> Option<(DiagnosticCode, Option<SourceSpan>)> {
-    let code = code.parse::<DiagnosticCode>().ok()?;
-    let span = match span {
-        "-" => None,
-        s => Some(s.parse::<SourceSpan>().ok()?),
-    };
-    Some((code, span))
-}
-
-/// Serializes a verdict to the on-disk format. The embedded `key` makes
-/// the file self-validating: a file renamed or copied to the wrong
-/// address is rejected on load.
-///
-/// Obligation lines:
+/// Encodes one obligation status as a self-validating entry — the
+/// on-disk file format, reused verbatim as the remote-cache and
+/// `cache_get`/`cache_put` payload:
 ///
 /// ```text
-/// proved <code>\t<span|->\t<description>
-/// core <n>\t<path>@<span|->...       (after a proved line, when tracked)
-/// failed <code>\t<span|->\t<description>\t<reason>
-/// failedc <n>\t<code>\t<span|->\t<description>\t<reason>
-/// cex <var>\t<exec1>\t<exec2>        (exactly n, after a failedc line)
-/// hint <code>\t<severity>\t<span|->\t<path|->\t<message>
+/// {"format":"commcsl-obligation","version":6,"key":"…",<status_fields>}
 /// ```
-fn encode_verdict(key: ProgramHash, report: &VerifierReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}\n"));
-    out.push_str(&format!("key {key}\n"));
-    out.push_str(&format!("program {}\n", escape(&report.program)));
-    for e in &report.errors {
-        out.push_str(&format!("error {}\n", escape(e)));
-    }
-    for o in &report.obligations {
-        match &o.status {
-            ObligationStatus::Proved => {
-                out.push_str(&format!(
-                    "proved {}\t{}\n",
-                    encode_code_span(o),
-                    escape(&o.description)
-                ));
-                if let Some(core) = &o.core {
-                    out.push_str(&encode_core_line(core));
-                }
-            }
-            ObligationStatus::Failed(failure) => match &failure.counterexample {
-                None => {
-                    out.push_str(&format!(
-                        "failed {}\t{}\t{}\n",
-                        encode_code_span(o),
-                        escape(&o.description),
-                        escape(&failure.reason)
-                    ));
-                }
-                Some(cex) => {
-                    out.push_str(&format!(
-                        "failedc {}\t{}\t{}\t{}\n",
-                        cex.bindings.len(),
-                        encode_code_span(o),
-                        escape(&o.description),
-                        escape(&failure.reason)
-                    ));
-                    for b in &cex.bindings {
-                        out.push_str(&format!(
-                            "cex {}\t{}\t{}\n",
-                            escape(&b.var),
-                            escape(&b.exec1),
-                            escape(&b.exec2)
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    for h in &report.hints {
-        out.push_str(&format!(
-            "hint {}\t{}\t{}\t{}\t{}\n",
-            h.code.as_str(),
-            h.severity.as_str(),
-            encode_opt_span(h.span),
-            encode_path(&h.path),
-            escape(&h.message)
-        ));
-    }
-    out
-}
-
-/// Renders a statement path as dot-separated components (`-` = the empty
-/// program-level path). Components are numeric, so no escaping is needed.
-fn encode_path(path: &StmtPath) -> String {
-    if path.is_empty() {
-        "-".to_owned()
-    } else {
-        path.iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-}
-
-fn decode_path(s: &str) -> Option<StmtPath> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split('.').map(|c| c.parse::<u32>().ok()).collect()
-}
-
-fn encode_opt_span(span: Option<SourceSpan>) -> String {
-    span.map(|s| s.to_string()).unwrap_or_else(|| "-".to_owned())
-}
-
-fn decode_opt_span(s: &str) -> Option<Option<SourceSpan>> {
-    match s {
-        "-" => Some(None),
-        s => Some(Some(s.parse::<SourceSpan>().ok()?)),
-    }
-}
-
-/// Renders a proved obligation's tracked core as one tab-separated line:
-/// the fact count, then `<path>@<span|->` per core fact.
-fn encode_core_line(core: &[CoreFact]) -> String {
-    let mut line = format!("core {}", core.len());
-    for f in core {
-        line.push_str(&format!("\t{}@{}", encode_path(&f.path), encode_opt_span(f.span)));
-    }
-    line.push('\n');
-    line
-}
-
-const OBLIGATION_MAGIC: &str = "commcsl-obligation";
-
-/// Serializes one obligation status for the on-disk obligation tier.
-/// Statuses carry no description/code/span — those are recomputed by the
-/// incremental run that replays the status, so the file stays valid
-/// however the surrounding program is edited.
-fn encode_obligation(key: ObligationKey, status: &ObligationStatus) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}\n"));
-    out.push_str(&format!("key {key}\n"));
-    match status {
-        ObligationStatus::Proved => out.push_str("proved\n"),
-        ObligationStatus::Failed(failure) => match &failure.counterexample {
-            None => out.push_str(&format!("failed {}\n", escape(&failure.reason))),
-            Some(cex) => {
-                out.push_str(&format!(
-                    "failedc {}\t{}\n",
-                    cex.bindings.len(),
-                    escape(&failure.reason)
-                ));
-                for b in &cex.bindings {
-                    out.push_str(&format!(
-                        "cex {}\t{}\t{}\n",
-                        escape(&b.var),
-                        escape(&b.exec1),
-                        escape(&b.exec2)
-                    ));
-                }
-            }
-        },
-    }
-    out
-}
-
-/// Encodes one obligation status as a self-validating entry (the on-disk
-/// file format, reused verbatim as the remote-cache wire payload): a
-/// `commcsl-obligation <HASH_FORMAT_VERSION>` header, the embedded key,
-/// and the status body. Because the entry carries both the format version
-/// and its own address, any consumer can validate it with
-/// [`decode_obligation_entry`] — a mismatch is a miss, never a stale
-/// status.
+///
+/// The status carries no description, code or span: the incremental run
+/// that replays it recomputes those, so the entry stays valid however the
+/// surrounding program is edited.
 pub fn encode_obligation_entry(key: ObligationKey, status: &ObligationStatus) -> String {
-    encode_obligation(key, status)
+    let mut fields = entry_header(OBLIGATION_FORMAT, key);
+    fields.extend(status_fields(status));
+    Json::Obj(fields).to_string()
 }
 
-/// Parses a self-validating obligation entry produced by
-/// [`encode_obligation_entry`]; `None` on any version/key/format mismatch
-/// (the never-stale rule: reject, never reinterpret).
+/// Decodes an [`encode_obligation_entry`] entry. The text must be exactly
+/// the encoding of the status it decodes to under `key` and this build's
+/// version, so a wrong format, version or key, truncation or any edit is
+/// `None` — a miss, never a stale status.
 pub fn decode_obligation_entry(key: ObligationKey, text: &str) -> Option<ObligationStatus> {
-    decode_obligation(key, text)
+    let status = status_from_json(&Json::parse(text).ok()?).ok()?;
+    (encode_obligation_entry(key, &status) == text).then_some(status)
 }
 
 /// Encodes one verdict as a self-validating entry (the on-disk file
-/// format, reused as the `cache_get`/`cache_put` wire payload for the
-/// verdict tier).
+/// format and the verdict tier's wire payload):
+///
+/// ```text
+/// {"format":"commcsl-verdict","version":6,"key":"…","report":{…}}
+/// ```
 pub fn encode_verdict_entry(key: ProgramHash, report: &VerifierReport) -> String {
-    encode_verdict(key, report)
+    let mut fields = entry_header(VERDICT_FORMAT, key);
+    fields.push(("report".to_owned(), report_to_json(report)));
+    Json::Obj(fields).to_string()
 }
 
-/// Parses a self-validating verdict entry; `None` on any
-/// version/key/format mismatch.
+/// Decodes an [`encode_verdict_entry`] entry, under the same rules as
+/// [`decode_obligation_entry`].
 pub fn decode_verdict_entry(key: ProgramHash, text: &str) -> Option<VerifierReport> {
-    decode_verdict(key, text)
-}
-
-/// Parses an obligation file; `None` on any version/key/format mismatch.
-fn decode_obligation(key: ObligationKey, text: &str) -> Option<ObligationStatus> {
-    let mut lines = text.lines();
-    if lines.next()? != format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}") {
-        return None;
-    }
-    if lines.next()?.strip_prefix("key ")?.parse::<ObligationKey>().ok()? != key {
-        return None;
-    }
-    let status_line = lines.next()?;
-    let status = if status_line == "proved" {
-        ObligationStatus::Proved
-    } else if let Some(reason) = status_line.strip_prefix("failed ") {
-        ObligationStatus::Failed(Failure::new(unescape(reason)?))
-    } else if let Some(rest) = status_line.strip_prefix("failedc ") {
-        let (count, reason) = rest.split_once('\t')?;
-        let count: usize = count.parse().ok()?;
-        let mut bindings = Vec::with_capacity(count);
-        for _ in 0..count {
-            let rest = lines.next()?.strip_prefix("cex ")?;
-            let mut fields = rest.split('\t');
-            bindings.push(CexBinding {
-                var: unescape(fields.next()?)?,
-                exec1: unescape(fields.next()?)?,
-                exec2: unescape(fields.next()?)?,
-            });
-            if fields.next().is_some() {
-                return None;
-            }
-        }
-        ObligationStatus::Failed(
-            Failure::new(unescape(reason)?)
-                .with_counterexample(Counterexample { bindings }),
-        )
-    } else {
-        return None;
-    };
-    if lines.next().is_some() {
-        return None;
-    }
-    Some(status)
-}
-
-/// Parses a verdict file; `None` on any version/key/format mismatch.
-fn decode_verdict(key: ProgramHash, text: &str) -> Option<VerifierReport> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    if header != format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}") {
-        return None;
-    }
-    let stored_key = lines.next()?.strip_prefix("key ")?;
-    if stored_key.parse::<ProgramHash>().ok()? != key {
-        return None;
-    }
-    let program = unescape(lines.next()?.strip_prefix("program ")?)?;
-    let mut errors = Vec::new();
-    let mut obligations: Vec<ObligationResult> = Vec::new();
-    let mut hints: Vec<Lint> = Vec::new();
-    let mut pending_cex: usize = 0;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("cex ") {
-            if pending_cex == 0 {
-                return None;
-            }
-            pending_cex -= 1;
-            let mut fields = rest.split('\t');
-            let binding = CexBinding {
-                var: unescape(fields.next()?)?,
-                exec1: unescape(fields.next()?)?,
-                exec2: unescape(fields.next()?)?,
-            };
-            if fields.next().is_some() {
-                return None;
-            }
-            match &mut obligations.last_mut()?.status {
-                ObligationStatus::Failed(failure) => failure
-                    .counterexample
-                    .as_mut()?
-                    .bindings
-                    .push(binding),
-                ObligationStatus::Proved => return None,
-            }
-            continue;
-        }
-        if pending_cex != 0 {
-            // Fewer `cex` lines than announced ⇒ corrupt.
-            return None;
-        }
-        if let Some(rest) = line.strip_prefix("error ") {
-            // Errors precede obligations in the encoding; an error line
-            // after an obligation line means the file was hand-edited.
-            if !obligations.is_empty() {
-                return None;
-            }
-            errors.push(unescape(rest)?);
-        } else if let Some(rest) = line.strip_prefix("proved ") {
-            let mut fields = rest.split('\t');
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Proved,
-                core: None,
-            });
-        } else if let Some(rest) = line.strip_prefix("core ") {
-            let mut fields = rest.split('\t');
-            let count: usize = fields.next()?.parse().ok()?;
-            let mut core = Vec::with_capacity(count);
-            for _ in 0..count {
-                let (path, span) = fields.next()?.split_once('@')?;
-                core.push(CoreFact {
-                    path: decode_path(path)?,
-                    span: decode_opt_span(span)?,
-                });
-            }
-            if fields.next().is_some() {
-                return None;
-            }
-            // A core line annotates the proved obligation just decoded.
-            let last = obligations.last_mut()?;
-            if last.core.is_some() || !matches!(last.status, ObligationStatus::Proved) {
-                return None;
-            }
-            last.core = Some(core);
-        } else if let Some(rest) = line.strip_prefix("hint ") {
-            let mut fields = rest.split('\t');
-            let code: LintCode = fields.next()?.parse().ok()?;
-            let severity = match fields.next()? {
-                "note" => Severity::Note,
-                "warning" => Severity::Warning,
-                _ => return None,
-            };
-            let span = decode_opt_span(fields.next()?)?;
-            let path = decode_path(fields.next()?)?;
-            let message = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            hints.push(Lint {
-                code,
-                severity,
-                path,
-                span,
-                message,
-            });
-        } else if let Some(rest) = line.strip_prefix("failed ") {
-            let mut fields = rest.split('\t');
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            let reason = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Failed(Failure::new(reason)),
-                core: None,
-            });
-        } else if let Some(rest) = line.strip_prefix("failedc ") {
-            let mut fields = rest.split('\t');
-            let count: usize = fields.next()?.parse().ok()?;
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            let reason = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Failed(
-                    Failure::new(reason).with_counterexample(Counterexample::default()),
-                ),
-                core: None,
-            });
-            pending_cex = count;
-        } else {
-            return None;
-        }
-    }
-    if pending_cex != 0 {
-        return None;
-    }
-    Some(VerifierReport {
-        program,
-        obligations,
-        errors,
-        hints,
-    })
+    let report = report_from_json(Json::parse(text).ok()?.get("report")?).ok()?;
+    (encode_verdict_entry(key, &report) == text).then_some(report)
 }
 
 // ------------------------------------------------------------------ cache
@@ -747,7 +371,7 @@ impl VerdictCache {
         text: Option<&str>,
     ) -> Option<VerifierReport> {
         if let Some(text) = text {
-            match decode_verdict(key, text) {
+            match decode_verdict_entry(key, text) {
                 Some(report) => {
                     self.stats.disk_hits += 1;
                     self.insert_memory(key, report.clone());
@@ -835,7 +459,7 @@ impl VerdictCache {
         }
         if let Some(path) = self.obligation_path(key) {
             if let Ok(text) = fs::read_to_string(&path) {
-                match decode_obligation(key, &text) {
+                match decode_obligation_entry(key, &text) {
                     Some(status) => {
                         self.stats.obligation_hits += 1;
                         self.insert_obligation_memory(key, status.clone());
@@ -851,7 +475,7 @@ impl VerdictCache {
             let fetched = remote.fetch(key);
             if let Some(status) = fetched
                 .as_deref()
-                .and_then(|text| decode_obligation(key, text))
+                .and_then(|text| decode_obligation_entry(key, text))
             {
                 self.stats.remote_hits += 1;
                 self.stats.obligation_hits += 1;
@@ -873,7 +497,7 @@ impl VerdictCache {
     /// write-through to the remote tier when one is chained.
     pub fn put_obligation(&mut self, key: ObligationKey, status: &ObligationStatus) {
         let _span = commcsl_telemetry::span!("cache.obligation_put");
-        let entry = encode_obligation(key, status);
+        let entry = encode_obligation_entry(key, status);
         if let Some(path) = self.obligation_path(key) {
             let _ = write_atomically(&path, &entry);
         }
@@ -899,29 +523,29 @@ impl VerdictCache {
     /// entry.
     pub fn export_obligation(&mut self, key: ObligationKey) -> Option<String> {
         if let Some((_, status)) = self.obligations.get(&key) {
-            return Some(encode_obligation(key, status));
+            return Some(encode_obligation_entry(key, status));
         }
         let path = self.obligation_path(key)?;
         let text = fs::read_to_string(path).ok()?;
-        decode_obligation(key, &text).map(|_| text)
+        decode_obligation_entry(key, &text).map(|_| text)
     }
 
     /// Exports the raw self-validating entry for a verdict held in the
     /// local tiers. `None` when neither local tier has a valid entry.
     pub fn export_verdict(&mut self, key: ProgramHash) -> Option<String> {
         if let Some((_, report)) = self.entries.get(&key) {
-            return Some(encode_verdict(key, report));
+            return Some(encode_verdict_entry(key, report));
         }
         let path = self.verdict_path(key)?;
         let text = fs::read_to_string(path).ok()?;
-        decode_verdict(key, &text).map(|_| text)
+        decode_verdict_entry(key, &text).map(|_| text)
     }
 
     /// Validates and admits a remote-published obligation entry into the
     /// local tiers; `false` (and no state change) on any version/key/
     /// format mismatch.
     pub fn import_obligation(&mut self, key: ObligationKey, text: &str) -> bool {
-        match decode_obligation(key, text) {
+        match decode_obligation_entry(key, text) {
             Some(status) => {
                 self.put_obligation(key, &status);
                 true
@@ -933,7 +557,7 @@ impl VerdictCache {
     /// Validates and admits a remote-published verdict entry into the
     /// local tiers; `false` on any mismatch.
     pub fn import_verdict(&mut self, key: ProgramHash, text: &str) -> bool {
-        match decode_verdict(key, text) {
+        match decode_verdict_entry(key, text) {
             Some(report) => {
                 self.put(key, &report);
                 true
@@ -1006,7 +630,7 @@ pub fn write_verdict_file(
     key: ProgramHash,
     report: &VerifierReport,
 ) -> std::io::Result<()> {
-    write_atomically(path, &encode_verdict(key, report))
+    write_atomically(path, &encode_verdict_entry(key, report))
 }
 
 /// Writes `content` to `path` atomically: the data lands under a unique
@@ -1323,7 +947,9 @@ mod tests {
     use commcsl_pure::{Sort, Term};
 
     use super::*;
+    use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
     use crate::program::VStmt;
+    use crate::report::{CoreFact, Lint, LintCode, ObligationResult, Severity};
     use crate::symexec::verify;
 
     fn ok_program(name: &str) -> AnnotatedProgram {
@@ -1412,7 +1038,7 @@ mod tests {
             }],
         };
         let key = ProgramHash(42);
-        let decoded = decode_verdict(key, &encode_verdict(key, &report)).unwrap();
+        let decoded = decode_verdict_entry(key, &encode_verdict_entry(key, &report)).unwrap();
         assert_eq!(decoded.program, report.program);
         assert_eq!(decoded.errors, report.errors);
         assert_eq!(decoded.obligations, report.obligations);
@@ -1422,66 +1048,93 @@ mod tests {
     }
 
     #[test]
-    fn verdict_decoding_rejects_mismatches() {
+    fn entries_have_pinned_bytes() {
         let report = VerifierReport {
-            program: "p".into(),
-            obligations: vec![],
-            errors: vec![],
-            hints: vec![],
-        };
-        let good = encode_verdict(ProgramHash(7), &report);
-        // Wrong key.
-        assert!(decode_verdict(ProgramHash(8), &good).is_none());
-        // Wrong version.
-        let bumped = good.replace(
-            &format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}"),
-            &format!("{VERDICT_MAGIC} {}", HASH_FORMAT_VERSION + 1),
-        );
-        assert!(decode_verdict(ProgramHash(7), &bumped).is_none());
-        // Truncation and garbage.
-        assert!(decode_verdict(ProgramHash(7), "").is_none());
-        assert!(decode_verdict(ProgramHash(7), &good[..good.len() / 2]).is_none());
-        assert!(decode_verdict(ProgramHash(7), &format!("{good}garbage\n")).is_none());
-
-        // A counterexample announcing more bindings than present, and
-        // stray `cex` lines, are corrupt.
-        let with_cex = VerifierReport {
             program: "p".into(),
             obligations: vec![ObligationResult {
                 description: "d".into(),
                 code: DiagnosticCode::LowOutput,
-                span: None,
-                status: ObligationStatus::Failed(
-                    Failure::new("r").with_counterexample(Counterexample {
-                        bindings: vec![
-                            CexBinding {
-                                var: "a".into(),
-                                exec1: "1".into(),
-                                exec2: "2".into(),
-                            },
-                            CexBinding {
-                                var: "b".into(),
-                                exec1: "1".into(),
-                                exec2: "1".into(),
-                            },
-                        ],
-                    }),
-                ),
+                span: Some(SourceSpan::new(2, 1)),
+                status: ObligationStatus::Proved,
                 core: None,
             }],
             errors: vec![],
             hints: vec![],
         };
-        let encoded = encode_verdict(ProgramHash(7), &with_cex);
-        assert!(decode_verdict(ProgramHash(7), &encoded).is_some());
-        let truncated: String = encoded
-            .lines()
-            .take(encoded.lines().count() - 1)
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(decode_verdict(ProgramHash(7), &truncated).is_none());
-        let stray = format!("{encoded}cex z\t0\t0\n");
-        assert!(decode_verdict(ProgramHash(7), &stray).is_none());
+        assert_eq!(
+            encode_verdict_entry(ProgramHash(7), &report),
+            "{\"format\":\"commcsl-verdict\",\"version\":6,\
+             \"key\":\"00000000000000000000000000000007\",\"report\":{\"schema_version\":1,\
+             \"program\":\"p\",\"verified\":true,\"proved\":1,\"obligations\":[{\
+             \"description\":\"d\",\"code\":\"low-output\",\"span\":\"2:1\",\"proved\":true}],\
+             \"errors\":[]}}"
+        );
+        let status =
+            ObligationStatus::Failed(Failure::new("r").with_counterexample(Counterexample {
+                bindings: vec![CexBinding {
+                    var: "h".into(),
+                    exec1: "0".into(),
+                    exec2: "1".into(),
+                }],
+            }));
+        assert_eq!(
+            encode_obligation_entry(ObligationKey(0xab), &status),
+            "{\"format\":\"commcsl-obligation\",\"version\":6,\
+             \"key\":\"000000000000000000000000000000ab\",\"proved\":false,\"reason\":\"r\",\
+             \"counterexample\":[{\"var\":\"h\",\"exec1\":\"0\",\"exec2\":\"1\"}]}"
+        );
+    }
+
+    #[test]
+    fn verdict_decoding_rejects_mismatches() {
+        let report = VerifierReport {
+            program: "p".into(),
+            obligations: vec![ObligationResult {
+                description: "d".into(),
+                code: DiagnosticCode::LowOutput,
+                span: None,
+                status: ObligationStatus::Failed(Failure::new("r").with_counterexample(
+                    Counterexample {
+                        bindings: vec![CexBinding {
+                            var: "a".into(),
+                            exec1: "1".into(),
+                            exec2: "2".into(),
+                        }],
+                    },
+                )),
+                core: None,
+            }],
+            errors: vec![],
+            hints: vec![],
+        };
+        let good = encode_verdict_entry(ProgramHash(7), &report);
+        assert!(decode_verdict_entry(ProgramHash(7), &good).is_some());
+        // Wrong key, wrong version, wrong format tag.
+        assert!(decode_verdict_entry(ProgramHash(8), &good).is_none());
+        let bumped = good.replace(
+            &format!("\"version\":{HASH_FORMAT_VERSION}"),
+            &format!("\"version\":{}", HASH_FORMAT_VERSION + 1),
+        );
+        assert!(decode_verdict_entry(ProgramHash(7), &bumped).is_none());
+        let obligation_tagged = good.replace(VERDICT_FORMAT, OBLIGATION_FORMAT);
+        assert!(decode_verdict_entry(ProgramHash(7), &obligation_tagged).is_none());
+        // Truncation and garbage.
+        assert!(decode_verdict_entry(ProgramHash(7), "").is_none());
+        assert!(decode_verdict_entry(ProgramHash(7), &good[..good.len() / 2]).is_none());
+        assert!(decode_verdict_entry(ProgramHash(7), &format!("{good}garbage")).is_none());
+        // Well-formed JSON that is not the canonical encoding: a tampered
+        // derived field, extra whitespace, a dropped binding field.
+        let tampered = good.replace("\"verified\":false", "\"verified\":true");
+        assert!(decode_verdict_entry(ProgramHash(7), &tampered).is_none());
+        assert!(decode_verdict_entry(ProgramHash(7), &format!(" {good}")).is_none());
+        let dropped = good.replace(",\"exec2\":\"2\"", "");
+        assert!(decode_verdict_entry(ProgramHash(7), &dropped).is_none());
+        // A v5 line-format entry for the same key is a miss.
+        let v5 = "commcsl-verdict 5\nkey 00000000000000000000000000000007\nprogram p\n\
+                  failedc 1\tlow-output\t-\td\tr\ncex a\t1\t2\n";
+        assert!(decode_verdict_entry(ProgramHash(7), v5).is_none());
+        let v5_obligation = "commcsl-obligation 5\nkey 00000000000000000000000000000007\nproved\n";
+        assert!(decode_obligation_entry(ObligationKey(7), v5_obligation).is_none());
     }
 
     #[test]
@@ -1646,17 +1299,17 @@ mod tests {
         ];
         let key = ObligationKey(99);
         for status in &statuses {
-            let encoded = encode_obligation(key, status);
-            assert_eq!(decode_obligation(key, &encoded).as_ref(), Some(status));
+            let encoded = encode_obligation_entry(key, status);
+            assert_eq!(decode_obligation_entry(key, &encoded).as_ref(), Some(status));
             // Wrong key, wrong version, truncation, trailing garbage: miss.
-            assert!(decode_obligation(ObligationKey(98), &encoded).is_none());
+            assert!(decode_obligation_entry(ObligationKey(98), &encoded).is_none());
             let bumped = encoded.replace(
-                &format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}"),
-                &format!("{OBLIGATION_MAGIC} {}", HASH_FORMAT_VERSION + 1),
+                &format!("\"version\":{HASH_FORMAT_VERSION}"),
+                &format!("\"version\":{}", HASH_FORMAT_VERSION + 1),
             );
-            assert!(decode_obligation(key, &bumped).is_none());
-            assert!(decode_obligation(key, &encoded[..encoded.len() / 2]).is_none());
-            assert!(decode_obligation(key, &format!("{encoded}junk\n")).is_none());
+            assert!(decode_obligation_entry(key, &bumped).is_none());
+            assert!(decode_obligation_entry(key, &encoded[..encoded.len() / 2]).is_none());
+            assert!(decode_obligation_entry(key, &format!("{encoded}junk\n")).is_none());
         }
     }
 
@@ -1734,7 +1387,7 @@ mod tests {
         backing.lock().unwrap().insert(ObligationKey(6), "garbage".into());
         assert_eq!(b.get_obligation(ObligationKey(6)), None);
         assert_eq!(b.stats().remote_misses, 1);
-        let wrong = encode_obligation(ObligationKey(7), &ObligationStatus::Proved);
+        let wrong = encode_obligation_entry(ObligationKey(7), &ObligationStatus::Proved);
         backing.lock().unwrap().insert(ObligationKey(8), wrong);
         assert_eq!(b.get_obligation(ObligationKey(8)), None);
         assert_eq!(b.stats().remote_misses, 2);

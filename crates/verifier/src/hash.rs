@@ -64,7 +64,12 @@ use crate::report::VerifierConfig;
 /// the hashed configuration. With both knobs off the report bytes are
 /// unchanged from v4, but a v4 verdict must not answer for a
 /// configuration that can carry the new fields.
-pub const HASH_FORMAT_VERSION: u32 = 5;
+///
+/// v6: verdict and obligation cache entries changed encoding, from a
+/// tab-escaped line format to canonical JSON documents built on the
+/// report codec. Report bytes are unchanged, but a v5 entry must read as
+/// a miss, not be handed to the new decoder.
+pub const HASH_FORMAT_VERSION: u32 = 6;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;

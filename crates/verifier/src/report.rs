@@ -4,10 +4,15 @@
 //! execution generated, each carrying a stable
 //! [`DiagnosticCode`], an optional [`SourceSpan`] (threaded from the
 //! `commcsl-front` lowering), and — on failure — a [`Failure`] with the
-//! reason and an optional falsifying [`Counterexample`]. The JSON shape
-//! produced by [`VerifierReport::to_json`] is the single wire format:
-//! the CLI `--json` mode embeds it verbatim, the daemon protocol streams
-//! it byte-identically, and the verdict cache round-trips it losslessly.
+//! reason and an optional falsifying [`Counterexample`].
+//!
+//! [`report_to_json`] and [`report_from_json`] are the report's one JSON
+//! encoder and decoder, built on the workspace codec
+//! [`commcsl_telemetry::json`]: the CLI's `--json` mode embeds the
+//! encoding verbatim, the daemon protocol streams it, and the verdict
+//! cache stores it. The obligation and status field helpers below are
+//! shared with the daemon's `obligation_done` events and the
+//! obligation-cache entries.
 
 use std::fmt;
 
@@ -17,6 +22,11 @@ use commcsl_smt::{BackendKind, SolverConfig};
 
 pub use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 pub use commcsl_analysis::lint::{Lint, LintCode, Severity};
+
+use commcsl_analysis::diag::{failure_fields, failure_from_json, span_from_json};
+use commcsl_analysis::lint::{lint_fields, lint_from_json};
+use commcsl_analysis::program::{path_from_json, path_to_json};
+use commcsl_telemetry::json::Json;
 
 use crate::program::StmtPath;
 
@@ -195,130 +205,202 @@ impl VerifierReport {
             .filter(|o| o.status == ObligationStatus::Proved)
             .count()
     }
+
+    /// Renders the report as one JSON object (no trailing newline); see
+    /// [`report_to_json`] for the shape.
+    pub fn to_json(&self) -> String {
+        report_to_json(self).to_string()
+    }
 }
 
-/// Escapes a string for inclusion in a JSON document (quotes included).
+/// Encodes a report. Field order and spelling are part of the tool's
+/// machine interface — the CLI's `--json` output, the daemon protocol
+/// and the verdict cache all carry these bytes:
 ///
-/// The workspace's vendored `serde` stub derives marker impls only, so the
-/// machine-readable outputs (the `commcsl` CLI's `--json` mode, the
-/// `table1` bench snapshots) are rendered by hand through this helper.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// ```text
+/// {"schema_version":1,"program":…,"verified":…,"proved":…,
+///  "obligations":[{<obligation_fields>,"core":[{"path":[…],"span":…}]?},…],
+///  "errors":[…],"hints":[{<lint_fields>},…]?}
+/// ```
+///
+/// `core` appears only on obligations that tracked one, and `hints` only
+/// when non-empty, so reports with the explanation knobs off are
+/// byte-identical to builds without them.
+pub fn report_to_json(report: &VerifierReport) -> Json {
+    let obligations = report
+        .obligations
+        .iter()
+        .map(|o| {
+            let mut fields = obligation_fields(o);
+            if let Some(core) = &o.core {
+                let facts = core
+                    .iter()
+                    .map(|f| {
+                        let mut fact = vec![("path".to_owned(), path_to_json(&f.path))];
+                        if let Some(span) = f.span {
+                            fact.push(("span".to_owned(), Json::str(span.to_string())));
+                        }
+                        Json::Obj(fact)
+                    })
+                    .collect();
+                fields.push(("core".to_owned(), Json::Arr(facts)));
+            }
+            Json::Obj(fields)
+        })
+        .collect();
+    let mut fields = vec![
+        (
+            "schema_version".to_owned(),
+            Json::Num(f64::from(REPORT_SCHEMA_VERSION)),
+        ),
+        ("program".to_owned(), Json::str(&report.program)),
+        ("verified".to_owned(), Json::Bool(report.verified())),
+        ("proved".to_owned(), Json::Num(report.proved_count() as f64)),
+        ("obligations".to_owned(), Json::Arr(obligations)),
+        (
+            "errors".to_owned(),
+            Json::Arr(report.errors.iter().map(Json::str).collect()),
+        ),
+    ];
+    if !report.hints.is_empty() {
+        let hints = report
+            .hints
+            .iter()
+            .map(|h| Json::Obj(lint_fields(h)))
+            .collect();
+        fields.push(("hints".to_owned(), Json::Arr(hints)));
+    }
+    Json::Obj(fields)
+}
+
+/// Decodes a [`report_to_json`] document. The derived fields (`verified`,
+/// `proved`) are recomputed, so decoding then re-encoding reproduces the
+/// original bytes.
+pub fn report_from_json(doc: &Json) -> Result<VerifierReport, String> {
+    if let Some(schema) = doc.get("schema_version") {
+        let schema = schema.as_u64().ok_or("`schema_version` must be a number")?;
+        if schema != u64::from(REPORT_SCHEMA_VERSION) {
+            return Err(format!(
+                "unsupported report schema v{schema} (this build reads v{REPORT_SCHEMA_VERSION})"
+            ));
         }
     }
-    out.push('"');
-    out
-}
-
-impl VerifierReport {
-    /// Renders the report as one JSON object (no trailing newline).
-    ///
-    /// Field order and spelling are part of the tool's machine interface:
-    /// the daemon protocol (`commcsl_server::protocol::report_to_json`)
-    /// and the verdict cache reproduce these bytes exactly.
-    pub fn to_json(&self) -> String {
-        let obligations: Vec<String> = self
-            .obligations
-            .iter()
-            .map(|o| {
-                let mut fields = vec![
-                    format!("\"description\":{}", json_string(&o.description)),
-                    format!("\"code\":{}", json_string(o.code.as_str())),
-                ];
-                if let Some(span) = &o.span {
-                    fields.push(format!("\"span\":{}", json_string(&span.to_string())));
-                }
-                fields.push(format!(
-                    "\"proved\":{}",
-                    o.status == ObligationStatus::Proved
-                ));
-                if let ObligationStatus::Failed(failure) = &o.status {
-                    fields.push(format!("\"reason\":{}", json_string(&failure.reason)));
-                    if let Some(cex) = &failure.counterexample {
-                        let bindings: Vec<String> = cex
-                            .bindings
-                            .iter()
-                            .map(|b| {
-                                format!(
-                                    "{{\"var\":{},\"exec1\":{},\"exec2\":{}}}",
-                                    json_string(&b.var),
-                                    json_string(&b.exec1),
-                                    json_string(&b.exec2)
-                                )
+    let array = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_arr)
+            .ok_or(format!("report needs `{key}`"))
+    };
+    let obligations = array("obligations")?
+        .iter()
+        .map(|o| {
+            let core = o
+                .get("core")
+                .map(|core| {
+                    core.as_arr()
+                        .ok_or("`core` must be an array")?
+                        .iter()
+                        .map(|f| {
+                            Ok(CoreFact {
+                                path: path_from_json(
+                                    f.get("path").ok_or("core fact needs `path`")?,
+                                )?,
+                                span: span_from_json(f)?,
                             })
-                            .collect();
-                        fields.push(format!(
-                            "\"counterexample\":[{}]",
-                            bindings.join(",")
-                        ));
-                    }
-                }
-                if let Some(core) = &o.core {
-                    let facts: Vec<String> =
-                        core.iter().map(core_fact_json).collect();
-                    fields.push(format!("\"core\":[{}]", facts.join(",")));
-                }
-                format!("{{{}}}", fields.join(","))
+                        })
+                        .collect::<Result<Vec<_>, String>>()
+                })
+                .transpose()?;
+            Ok(ObligationResult {
+                core,
+                ..obligation_from_json(o)?
             })
-            .collect();
-        let errors: Vec<String> =
-            self.errors.iter().map(|e| json_string(e)).collect();
-        let hints = if self.hints.is_empty() {
-            String::new()
-        } else {
-            let rendered: Vec<String> = self.hints.iter().map(hint_json).collect();
-            format!(",\"hints\":[{}]", rendered.join(","))
-        };
-        format!(
-            "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"program\":{},\"verified\":{},\
-             \"proved\":{},\"obligations\":[{}],\"errors\":[{}]{hints}}}",
-            json_string(&self.program),
-            self.verified(),
-            self.proved_count(),
-            obligations.join(","),
-            errors.join(","),
-        )
-    }
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let errors = array("errors")?
+        .iter()
+        .map(|e| {
+            e.as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| "errors must be strings".to_owned())
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let hints = match doc.get("hints") {
+        None => Vec::new(),
+        Some(hints) => hints
+            .as_arr()
+            .ok_or("`hints` must be an array")?
+            .iter()
+            .map(lint_from_json)
+            .collect::<Result<Vec<_>, String>>()?,
+    };
+    Ok(VerifierReport {
+        program: doc
+            .get("program")
+            .and_then(Json::as_str)
+            .ok_or("report needs `program`")?
+            .to_owned(),
+        obligations,
+        errors,
+        hints,
+    })
 }
 
-/// Renders one [`CoreFact`] for the report JSON (`span` omitted when
-/// absent, matching the obligation's own span field).
-fn core_fact_json(fact: &CoreFact) -> String {
-    let path: Vec<String> = fact.path.iter().map(u32::to_string).collect();
-    match &fact.span {
-        Some(span) => format!(
-            "{{\"path\":[{}],\"span\":{}}}",
-            path.join(","),
-            json_string(&span.to_string())
-        ),
-        None => format!("{{\"path\":[{}]}}", path.join(",")),
-    }
-}
-
-/// Renders one aggregated hint for the report JSON, in the same field
-/// shape the daemon protocol uses for lint findings.
-fn hint_json(hint: &Lint) -> String {
+/// Encodes an obligation's fields: `description`, `code`, `span` (when
+/// known), then its [`status_fields`]. Report obligations append their
+/// `core`; the daemon's `obligation_done` events wrap these fields in
+/// their own framing.
+pub fn obligation_fields(o: &ObligationResult) -> Vec<(String, Json)> {
     let mut fields = vec![
-        format!("\"code\":{}", json_string(hint.code.as_str())),
-        format!("\"severity\":{}", json_string(hint.severity.as_str())),
+        ("description".to_owned(), Json::str(&o.description)),
+        ("code".to_owned(), Json::str(o.code.as_str())),
     ];
-    if let Some(span) = &hint.span {
-        fields.push(format!("\"span\":{}", json_string(&span.to_string())));
+    if let Some(span) = o.span {
+        fields.push(("span".to_owned(), Json::str(span.to_string())));
     }
-    let path: Vec<String> = hint.path.iter().map(u32::to_string).collect();
-    fields.push(format!("\"path\":[{}]", path.join(",")));
-    fields.push(format!("\"message\":{}", json_string(&hint.message)));
-    format!("{{{}}}", fields.join(","))
+    fields.extend(status_fields(&o.status));
+    fields
+}
+
+/// Decodes the fields [`obligation_fields`] writes (`core` is left
+/// `None`).
+pub fn obligation_from_json(doc: &Json) -> Result<ObligationResult, String> {
+    Ok(ObligationResult {
+        description: doc
+            .get("description")
+            .and_then(Json::as_str)
+            .ok_or("obligation needs `description`")?
+            .to_owned(),
+        code: doc
+            .get("code")
+            .and_then(Json::as_str)
+            .ok_or("obligation needs `code`")?
+            .parse::<DiagnosticCode>()?,
+        span: span_from_json(doc)?,
+        status: status_from_json(doc)?,
+        core: None,
+    })
+}
+
+/// Encodes a status: `proved`, then the [`failure_fields`] of a failure.
+/// Obligation-cache entries store exactly these fields.
+pub fn status_fields(status: &ObligationStatus) -> Vec<(String, Json)> {
+    let mut fields = vec![(
+        "proved".to_owned(),
+        Json::Bool(*status == ObligationStatus::Proved),
+    )];
+    if let ObligationStatus::Failed(failure) = status {
+        fields.extend(failure_fields(failure));
+    }
+    fields
+}
+
+/// Decodes the fields [`status_fields`] writes.
+pub fn status_from_json(doc: &Json) -> Result<ObligationStatus, String> {
+    match doc.get("proved").and_then(Json::as_bool) {
+        Some(true) => Ok(ObligationStatus::Proved),
+        Some(false) => Ok(ObligationStatus::Failed(failure_from_json(doc)?)),
+        None => Err("obligation needs `proved`".into()),
+    }
 }
 
 impl fmt::Display for VerifierReport {
@@ -409,35 +491,115 @@ mod tests {
         assert!(shown.contains("at 3:1"));
     }
 
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    /// A report with every optional field: spans, a proof core, a
+    /// counterexample, an error and a hint.
+    fn full_report() -> VerifierReport {
+        VerifierReport {
+            program: "p \"q\"".into(),
+            obligations: vec![
+                ObligationResult {
+                    description: "pre of `Put`".into(),
+                    code: DiagnosticCode::ActionPre,
+                    span: Some(SourceSpan::new(7, 5)),
+                    status: ObligationStatus::Proved,
+                    core: Some(vec![
+                        CoreFact {
+                            path: vec![],
+                            span: None,
+                        },
+                        CoreFact {
+                            path: vec![3, 1],
+                            span: Some(SourceSpan::new(4, 2)),
+                        },
+                    ]),
+                },
+                ObligationResult {
+                    description: "Low(out)".into(),
+                    code: DiagnosticCode::LowOutput,
+                    span: None,
+                    status: ObligationStatus::Failed(
+                        Failure::new("countermodel").with_counterexample(Counterexample {
+                            bindings: vec![CexBinding {
+                                var: "h".into(),
+                                exec1: "0".into(),
+                                exec2: "1".into(),
+                            }],
+                        }),
+                    ),
+                    core: None,
+                },
+            ],
+            errors: vec!["guard\nmisuse".into()],
+            hints: vec![Lint {
+                code: LintCode::UnneededAnnotation,
+                severity: Severity::Note,
+                path: vec![4],
+                span: Some(SourceSpan::new(9, 1)),
+                message: "unneeded".into(),
+            }],
+        }
     }
 
     #[test]
-    fn json_escaping_edge_cases() {
-        // Every C0 control character must come out escaped; the named
-        // short forms win where JSON defines them.
-        for c in (0u32..0x20).map(|c| char::from_u32(c).unwrap()) {
-            let rendered = json_string(&c.to_string());
-            let expected = match c {
-                '\n' => "\"\\n\"".to_owned(),
-                '\r' => "\"\\r\"".to_owned(),
-                '\t' => "\"\\t\"".to_owned(),
-                _ => format!("\"\\u{:04x}\"", c as u32),
-            };
-            assert_eq!(rendered, expected, "control char {:#x}", c as u32);
-        }
-        // Backslash runs and quote/backslash adjacency do not collapse.
-        assert_eq!(json_string("\\\\"), "\"\\\\\\\\\"");
-        assert_eq!(json_string("\\\""), "\"\\\\\\\"\"");
-        // Non-ASCII passes through raw (JSON strings are UTF-8).
-        assert_eq!(json_string("αβ 中 🦀"), "\"αβ 中 🦀\"");
-        // DEL (0x7f) is not a C0 control and needs no escape.
-        assert_eq!(json_string("\u{7f}"), "\"\u{7f}\"");
+    fn report_json_has_pinned_bytes_and_roundtrips() {
+        let report = full_report();
+        let json = report.to_json();
+        assert_eq!(
+            json,
+            "{\"schema_version\":1,\"program\":\"p \\\"q\\\"\",\"verified\":false,\"proved\":1,\
+             \"obligations\":[{\"description\":\"pre of `Put`\",\"code\":\"action-pre\",\
+             \"span\":\"7:5\",\"proved\":true,\"core\":[{\"path\":[]},{\"path\":[3,1],\"span\":\"4:2\"}]},\
+             {\"description\":\"Low(out)\",\"code\":\"low-output\",\"proved\":false,\
+             \"reason\":\"countermodel\",\"counterexample\":[{\"var\":\"h\",\"exec1\":\"0\",\"exec2\":\"1\"}]}],\
+             \"errors\":[\"guard\\nmisuse\"],\"hints\":[{\"code\":\"unneeded-annotation\",\
+             \"severity\":\"note\",\"span\":\"9:1\",\"path\":[4],\"message\":\"unneeded\"}]}"
+        );
+        let back = report_from_json(&Json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back.obligations, report.obligations);
+        assert_eq!(back.errors, report.errors);
+        assert_eq!(back.hints, report.hints);
+        assert_eq!(back.to_json(), json);
+        // A report from a newer schema is refused, not misread.
+        let newer = json.replace("\"schema_version\":1", "\"schema_version\":2");
+        assert!(report_from_json(&Json::parse(&newer).unwrap()).is_err());
+    }
+
+    #[test]
+    fn report_parse_back_roundtrips_exhaustive_control_chars() {
+        // Every C0 control character, plus quote/backslash runs, in every
+        // string position of a report: `to_json` must parse back to an
+        // identical report (the cache's byte-identical guarantee depends
+        // on this codec being lossless).
+        let mut nasty = String::from("q\" b\\ run\\\\ ");
+        nasty.extend((0u32..0x20).map(|c| char::from_u32(c).unwrap()));
+        let report = VerifierReport {
+            program: nasty.clone(),
+            obligations: vec![ObligationResult {
+                description: nasty.clone(),
+                code: DiagnosticCode::LowAssert,
+                span: Some(SourceSpan::new(1, 999)),
+                status: ObligationStatus::Failed(
+                    Failure::new(nasty.clone()).with_counterexample(Counterexample {
+                        bindings: vec![CexBinding {
+                            var: nasty.clone(),
+                            exec1: nasty.clone(),
+                            exec2: nasty.clone(),
+                        }],
+                    }),
+                ),
+                core: None,
+            }],
+            errors: vec![nasty.clone()],
+            hints: vec![],
+        };
+        let parsed = Json::parse(&report.to_json()).unwrap();
+        let recovered = report_from_json(&parsed).unwrap();
+        assert_eq!(recovered.program, report.program);
+        assert_eq!(recovered.errors, report.errors);
+        assert_eq!(recovered.obligations.len(), 1);
+        assert_eq!(recovered.obligations[0].description, nasty);
+        assert_eq!(recovered.obligations, report.obligations);
+        assert_eq!(recovered.to_json(), report.to_json());
     }
 
     #[test]

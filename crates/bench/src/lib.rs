@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use commcsl::fixtures;
-use commcsl::verifier::batch::{verify_batch_ref, BatchConfig};
+use commcsl::verifier::Verifier;
 use serde::Serialize;
 
 pub mod loadgen;
@@ -47,20 +47,20 @@ pub fn table1_rows(runs: u32) -> Vec<Table1Row> {
 /// available CPU, `1` = the paper's sequential regime).
 ///
 /// Each run pushes the full fixture suite through
-/// [`commcsl::verifier::batch::verify_batch_ref`]; verdicts are
+/// [`Verifier::verify_batch`]; verdicts are
 /// deterministic (identical to sequential verification) whatever the
 /// thread count, and the per-fixture wall-clock times are averaged over
 /// the runs.
 pub fn table1_rows_parallel(runs: u32, threads: usize) -> Vec<Table1Row> {
     assert!(runs > 0, "need at least one run to average over");
-    let config = BatchConfig::with_threads(threads);
+    let verifier = Verifier::new().with_threads(threads);
     let fixtures = fixtures::all();
     let programs: Vec<_> = fixtures.iter().map(|f| &f.program).collect();
 
     let mut totals = vec![Duration::ZERO; fixtures.len()];
     let mut verified = vec![true; fixtures.len()];
     for _ in 0..runs {
-        for result in verify_batch_ref(&programs, &config) {
+        for result in verifier.verify_batch(&programs) {
             totals[result.index] += result.time;
             verified[result.index] &= result.report.verified();
         }
@@ -124,7 +124,7 @@ pub struct ColdWarm {
     /// Wall-clock ms for the warm pass (same process, memory tier).
     pub warm_ms: f64,
     /// Wall-clock ms after a simulated daemon restart (fresh
-    /// [`CachedVerifier`], same disk dir — every hit from the disk tier).
+    /// cached [`Verifier`], same disk dir — every hit from the disk tier).
     pub restart_ms: f64,
     /// Whether every cached verdict (warm *and* restart) was
     /// byte-identical to direct, uncached verification.
@@ -148,7 +148,7 @@ impl ColdWarm {
 /// Runs the cold/warm/restart passes against a cache rooted at
 /// `cache_dir` (which should start empty; typically a temp dir).
 pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm {
-    use commcsl::verifier::cache::{CacheConfig, CachedVerifier};
+    use commcsl::verifier::cache::CacheConfig;
     use commcsl::verifier::verify;
     use std::time::Instant;
 
@@ -160,8 +160,12 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
         .chain(rejected.iter().map(|(_, p)| p))
         .collect();
 
-    let batch = BatchConfig::with_threads(threads);
-    let cached = CachedVerifier::new(batch.clone(), CacheConfig::persistent(cache_dir));
+    let open = || {
+        Verifier::new()
+            .with_threads(threads)
+            .with_cache(CacheConfig::persistent(cache_dir))
+    };
+    let cached = open();
 
     let started = Instant::now();
     let cold = cached.verify_batch(&programs);
@@ -172,7 +176,7 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
     let warm_ms = started.elapsed().as_secs_f64() * 1000.0;
 
     // Simulated restart: a fresh verifier over the same disk tier.
-    let restarted = CachedVerifier::new(batch, CacheConfig::persistent(cache_dir));
+    let restarted = open();
     let started = Instant::now();
     let after_restart = restarted.verify_batch(&programs);
     let restart_ms = started.elapsed().as_secs_f64() * 1000.0;
@@ -184,8 +188,10 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
         .zip(&cold)
         .zip(warm.iter().zip(&after_restart))
     {
-        fully_cached &= w.cached && r.cached && !c.cached;
-        let direct = verify(program, cached.verifier_config()).to_json();
+        fully_cached &= w.cached == Some(true)
+            && r.cached == Some(true)
+            && c.cached == Some(false);
+        let direct = verify(program, cached.config()).to_json();
         identical &= c.report.to_json() == direct
             && w.report.to_json() == direct
             && r.report.to_json() == direct;
@@ -773,16 +779,11 @@ pub struct StaticPrepassBench {
 /// wall-clock delta. Byte-identity of the two reports is pinned before
 /// any number is reported.
 pub fn static_prepass_bench(runs: u32) -> StaticPrepassBench {
-    use commcsl::verifier::report::VerifierConfig;
-    use commcsl::verifier::verify_with_stats;
     use std::time::Instant;
 
     assert!(runs > 0, "need at least one run to take a median over");
-    let on = VerifierConfig::default();
-    let off = VerifierConfig {
-        static_prepass: false,
-        ..VerifierConfig::default()
-    };
+    let on = Verifier::new().with_threads(1);
+    let off = on.clone().with_static_prepass(false);
 
     let mut rows = Vec::new();
     let mut identical = true;
@@ -792,15 +793,15 @@ pub fn static_prepass_bench(runs: u32) -> StaticPrepassBench {
         let mut stats = None;
         for _ in 0..runs {
             let started = Instant::now();
-            let (report_on, run_stats, _, _) = verify_with_stats(&program, &on);
+            let with_prepass = on.verify(&program);
             on_samples.push(started.elapsed().as_secs_f64() * 1000.0);
 
             let started = Instant::now();
-            let (report_off, _, _, _) = verify_with_stats(&program, &off);
+            let without = off.verify(&program);
             off_samples.push(started.elapsed().as_secs_f64() * 1000.0);
 
-            identical &= report_on.to_json() == report_off.to_json();
-            stats = Some(run_stats);
+            identical &= with_prepass.report.to_json() == without.report.to_json();
+            stats = with_prepass.stats;
         }
         let stats = stats.expect("runs > 0");
         rows.push(StaticPrepassRow {

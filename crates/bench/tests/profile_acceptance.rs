@@ -82,6 +82,13 @@ fn profile_scale_program_meets_acceptance() {
         Some(1),
         "the scale workload verifies: {out}"
     );
+    // `--threads 1` verifies on the calling thread: no worker is
+    // spawned, so every span is recorded on one thread.
+    assert_eq!(
+        profile.get("threads").and_then(Json::as_u64),
+        Some(1),
+        "{out}"
+    );
     let coverage = profile
         .get("coverage")
         .and_then(Json::as_num)

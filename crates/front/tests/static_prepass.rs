@@ -14,7 +14,7 @@ use commcsl_front::compile;
 use commcsl_verifier::obligation::MemoryObligationStore;
 use commcsl_verifier::program::AnnotatedProgram;
 use commcsl_verifier::report::VerifierConfig;
-use commcsl_verifier::{verify_incremental, verify_with_stats};
+use commcsl_verifier::{verify_incremental, Verifier};
 
 fn prepass_off() -> VerifierConfig {
     VerifierConfig {
@@ -26,8 +26,12 @@ fn prepass_off() -> VerifierConfig {
 /// Verifies `program` both ways, asserts identical report bytes, and
 /// returns how many obligations the pre-pass discharged statically.
 fn assert_identical(program: &AnnotatedProgram, label: &str) -> (usize, usize) {
-    let (on, stats, _, _) = verify_with_stats(program, &VerifierConfig::default());
-    let (off, off_stats, _, _) = verify_with_stats(program, &prepass_off());
+    let run = |config: VerifierConfig| {
+        let outcome = Verifier::new().with_config(config).with_threads(1).verify(program);
+        (outcome.report, outcome.stats.expect("uncached runs report discharge stats"))
+    };
+    let (on, stats) = run(VerifierConfig::default());
+    let (off, off_stats) = run(prepass_off());
     assert_eq!(
         on.to_json(),
         off.to_json(),

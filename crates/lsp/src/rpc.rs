@@ -18,7 +18,7 @@
 //! server-initiated notifications. The JSON value type is the
 //! workspace's own [`Json`] — no external dependency.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use commcsl_server::json::Json;
 
@@ -117,7 +117,9 @@ pub fn notification(method: &str, params: Json) -> Json {
 }
 
 /// Reads one framed message body. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; a truncated frame is an error.
+/// frame boundary; a truncated frame is an error. The body buffer grows
+/// with the bytes that actually arrive, so a `Content-Length` the stream
+/// cannot back is a truncation error, not an allocation of that size.
 pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
     let mut content_length: Option<usize> = None;
     let mut line = String::new();
@@ -151,10 +153,17 @@ pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
         // Other headers (Content-Type) are tolerated and ignored.
     }
     let len = content_length.ok_or("frame without Content-Length")?;
-    let mut body = vec![0u8; len];
+    let mut body = Vec::new();
     reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("truncated frame body: {e}"))?;
+        .take(len as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| format!("transport read error: {e}"))?;
+    if body.len() != len {
+        return Err(format!(
+            "truncated frame body: {} of {len} bytes before EOF",
+            body.len()
+        ));
+    }
     String::from_utf8(body).map(Some).map_err(|e| format!("non-utf8 frame body: {e}"))
 }
 
@@ -203,6 +212,28 @@ mod tests {
         assert!(read_frame(&mut r).unwrap_err().contains("truncated"));
         let mut r = Cursor::new(b"Content-Type: x\r\n\r\n{}".to_vec());
         assert!(read_frame(&mut r).unwrap_err().contains("Content-Length"));
+    }
+
+    /// A frame claiming `len` body bytes, followed by only two.
+    fn short_body_error(len: &str) -> String {
+        let mut r = Cursor::new(format!("Content-Length: {len}\r\n\r\n{{}}").into_bytes());
+        read_frame(&mut r).unwrap_err()
+    }
+
+    #[test]
+    fn a_terabyte_content_length_is_a_truncation_error_not_an_allocation() {
+        assert_eq!(
+            short_body_error("1099511627776"),
+            "truncated frame body: 2 of 1099511627776 bytes before EOF"
+        );
+    }
+
+    #[test]
+    fn a_usize_max_content_length_is_a_truncation_error_not_a_panic() {
+        assert_eq!(
+            short_body_error("18446744073709551615"),
+            "truncated frame body: 2 of 18446744073709551615 bytes before EOF"
+        );
     }
 
     #[test]

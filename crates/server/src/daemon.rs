@@ -1,6 +1,6 @@
 //! The long-running verification daemon.
 //!
-//! A [`Server`] owns a [`CachedVerifier`] (two-tier content-addressed
+//! A [`Server`] owns a cached [`Verifier`] (two-tier content-addressed
 //! verdict cache in front of the work-stealing batch pool) and a
 //! *compile function* injected by the caller — the daemon is agnostic to
 //! the surface syntax; `commcsl-front` passes its `.csl` compiler in.
@@ -23,12 +23,12 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime};
 
-use commcsl_verifier::batch::BatchConfig;
-use commcsl_verifier::cache::{CacheConfig, CachedVerifier, RemoteObligationTier};
+use commcsl_verifier::api::Verifier;
+use commcsl_verifier::cache::{CacheConfig, RemoteObligationTier, VerdictCache};
 use commcsl_verifier::hash::{ProgramHash, HASH_FORMAT_VERSION};
 use commcsl_verifier::obligation::ObligationKey;
 use commcsl_verifier::program::AnnotatedProgram;
@@ -114,7 +114,11 @@ const DEFAULT_SLOW_REQUEST_MS: u64 = 250;
 
 /// The verification daemon: shared cache, counters, session loops.
 pub struct Server {
-    verifier: CachedVerifier,
+    /// The batch pipeline. Fail-fast is a per-request protocol flag, so
+    /// requests that set it run on a clone with the flag on.
+    verifier: Verifier,
+    /// The verifier's cache, shared with every session's workspace.
+    cache: Arc<Mutex<VerdictCache>>,
     compile: CompileFn,
     threads: usize,
     started: Instant,
@@ -122,9 +126,11 @@ pub struct Server {
     programs: AtomicU64,
     /// Workspace documents currently open across all sessions.
     documents: AtomicI64,
-    /// Workspace obligations discharged by the static pre-pass.
+    /// Obligations discharged by the static pre-pass (workspace runs and
+    /// `verify` misses).
     statically_proven: AtomicU64,
-    /// Workspace obligations discharged by the solver.
+    /// Obligations discharged by the solver (workspace runs and `verify`
+    /// misses).
     solver_checked: AtomicU64,
     /// Response bytes written to clients (newlines included).
     bytes_streamed: AtomicU64,
@@ -178,14 +184,13 @@ impl Session {
 impl Server {
     /// Creates a daemon with the given compiler for incoming sources.
     pub fn new(config: ServerConfig, compile: CompileFn) -> Self {
-        let batch = BatchConfig {
-            threads: config.threads,
-            verifier: config.verifier,
-            // Fail-fast is a per-request protocol flag, not server state.
-            fail_fast: false,
-        };
+        let verifier = Verifier::new()
+            .with_config(config.verifier)
+            .with_threads(config.threads)
+            .with_cache(config.cache);
         Server {
-            verifier: CachedVerifier::new(batch, config.cache),
+            cache: verifier.shared_cache().expect("the daemon verifier has a cache"),
+            verifier,
             compile,
             threads: config.threads,
             started: Instant::now(),
@@ -234,8 +239,7 @@ impl Server {
     /// disk tiers (`status` then reports its endpoint and per-tier
     /// counters).
     pub fn set_remote_cache(&self, remote: Box<dyn RemoteObligationTier>) {
-        self.verifier
-            .shared_cache()
+        self.cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .set_remote(remote);
@@ -249,8 +253,8 @@ impl Server {
             protocol: PROTOCOL_VERSION,
             subscribed: false,
             workspace: Workspace::with_shared_cache(
-                self.verifier.verifier_config().clone(),
-                self.verifier.shared_cache(),
+                self.verifier.config().clone(),
+                Arc::clone(&self.cache),
             ),
         }
     }
@@ -268,7 +272,13 @@ impl Server {
 
     /// Current daemon statistics.
     pub fn status(&self) -> StatusInfo {
-        let cache = self.verifier.stats();
+        let (cache, memory_entries, remote) = {
+            let cache = self
+                .cache
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            (cache.stats(), cache.memory_len(), cache.remote_endpoint())
+        };
         let (transport, addr) = self
             .endpoint
             .lock()
@@ -278,7 +288,7 @@ impl Server {
             version: env!("CARGO_PKG_VERSION").to_owned(),
             format_version: u64::from(HASH_FORMAT_VERSION),
             protocol_version: u64::from(PROTOCOL_VERSION),
-            backend: self.verifier.verifier_config().backend.name().to_owned(),
+            backend: self.verifier.config().backend.name().to_owned(),
             uptime_ms: self.started.elapsed().as_secs_f64() * 1000.0,
             started_at_unix_ms: self.started_unix_ms,
             ops: self
@@ -293,7 +303,7 @@ impl Server {
             disk_hits: cache.disk_hits,
             misses: cache.misses,
             evictions: cache.evictions,
-            memory_entries: self.verifier.memory_entries() as u64,
+            memory_entries: memory_entries as u64,
             obligation_hits: cache.obligation_hits,
             obligation_misses: cache.obligation_misses,
             statically_proven: self.statically_proven.load(Ordering::Relaxed),
@@ -303,13 +313,7 @@ impl Server {
             transport,
             addr,
             shards: 1,
-            remote: self
-                .verifier
-                .shared_cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remote_endpoint()
-                .unwrap_or_default(),
+            remote: remote.unwrap_or_default(),
             remote_hits: cache.remote_hits,
             remote_misses: cache.remote_misses,
             remote_stores: cache.remote_stores,
@@ -431,9 +435,20 @@ impl Server {
             .iter()
             .filter_map(|(c, _)| c.as_ref().ok())
             .collect();
-        let verified = self.verifier.verify_batch_opts(&programs, fail_fast);
+        let verified = if fail_fast {
+            self.verifier.clone().with_fail_fast(true).verify_batch(&programs)
+        } else {
+            self.verifier.verify_batch(&programs)
+        };
         let attempted = verified.iter().filter(|r| !r.skipped).count();
         self.programs.fetch_add(attempted as u64, Ordering::Relaxed);
+        // Misses ran the discharge pipeline; program-tier hits add nothing.
+        for stats in verified.iter().filter_map(|r| r.stats) {
+            self.statically_proven
+                .fetch_add(stats.statically_proven as u64, Ordering::Relaxed);
+            self.solver_checked
+                .fetch_add(stats.checked as u64, Ordering::Relaxed);
+        }
         let mut verified = verified.into_iter();
 
         compiled
@@ -442,8 +457,8 @@ impl Server {
                 Ok(_) => {
                     let r = verified.next().expect("one result per compiled program");
                     Ok(VerifyOk {
-                        cached: r.cached,
-                        key: r.key,
+                        cached: r.cached == Some(true),
+                        key: r.key.expect("the daemon verifier has a cache"),
                         time_ms: r.time.as_secs_f64() * 1000.0 + compile_ms,
                         skipped: r.skipped,
                         report: r.report,
@@ -632,8 +647,8 @@ impl Server {
     /// recurse — and serving reads move no hit/miss counters, which
     /// track verification traffic only.
     fn serve_cache_get(&self, tier: CacheTier, key: &str) -> Json {
-        let cache = self.verifier.shared_cache();
-        let mut cache = cache
+        let mut cache = self
+            .cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let entry = match tier {
@@ -654,8 +669,8 @@ impl Server {
     /// tiers. A refused entry answers `stored:false` (not an error) —
     /// version skew between daemons is expected, staleness is not.
     fn serve_cache_put(&self, tier: CacheTier, key: &str, entry: &str) -> Json {
-        let cache = self.verifier.shared_cache();
-        let mut cache = cache
+        let mut cache = self
+            .cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let stored = match tier {
@@ -1299,6 +1314,32 @@ mod tests {
         assert_eq!(status.programs, 2);
         assert_eq!(status.misses, 1);
         assert_eq!(status.memory_hits, 1);
+    }
+
+    #[test]
+    fn verify_misses_feed_the_obligation_split_and_hits_do_not() {
+        let server = server();
+        let split = |s: &StatusInfo| (s.statically_proven, s.solver_checked);
+        let before = split(&server.status());
+        assert_eq!(before, (0, 0));
+        let items = [
+            VerifyItem { name: "a".into(), source: "ok split-a".into() },
+            VerifyItem { name: "b".into(), source: "leak split-b".into() },
+        ];
+        let cold = server.verify_items(&items, false);
+        let obligations: usize = cold
+            .iter()
+            .map(|r| r.as_ref().unwrap().report.obligations.len())
+            .sum();
+        assert!(obligations > 0);
+        let (statically, solver) = split(&server.status());
+        assert_eq!(statically + solver, obligations as u64);
+        assert!(solver > 0, "the leak is refuted by the solver");
+
+        // Program-tier hits re-run nothing.
+        let warm = server.verify_items(&items, false);
+        assert!(warm.iter().all(|r| r.as_ref().unwrap().cached));
+        assert_eq!(split(&server.status()), (statically, solver));
     }
 
     #[test]

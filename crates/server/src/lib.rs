@@ -24,8 +24,8 @@
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
 //!   obligation-level incremental re-verification) over a Unix domain
 //!   socket or any reader/writer pair (the stdio fallback), all sharing
-//!   one [`CachedVerifier`](commcsl_verifier::cache::CachedVerifier)
-//!   and its verdict/obligation cache,
+//!   one cached [`Verifier`](commcsl_verifier::api::Verifier) and its
+//!   verdict/obligation cache,
 //! * [`client`] — the matching [`Client`](client::Client) (v1 and v2
 //!   methods, streaming included) plus
 //!   [`connect_or_start`](client::connect_or_start), the transparent

@@ -17,7 +17,7 @@
 //! file is only served when its text is exactly the encoding of what it
 //! decodes to under the requested key and this build's version. Any
 //! mismatch —
-//! including a [`HASH_FORMAT_VERSION`](crate::hash::HASH_FORMAT_VERSION)
+//! including a [`HASH_FORMAT_VERSION`]
 //! bump, which changes every key and the tier directory name — is a
 //! cache **miss**, never a stale verdict.
 //!
@@ -31,26 +31,26 @@
 //! LRU, optional on-disk persistence (`obl/` under the version
 //! directory), structural validation, corrupt ⇒ miss.
 //!
-//! [`CachedVerifier`] wraps the pipeline end-to-end: single-program
-//! lookups, and batch verification that routes only the misses through
-//! the work-stealing pool of [`crate::batch`].
+//! [`Verifier`](crate::api::Verifier) and
+//! [`Workspace`](crate::workspace::Workspace) reach the program tier of a
+//! shared, mutex-guarded cache through one lookup and one store
+//! (`lookup_verdicts`, `store_verdicts`); neither holds the lock
+//! across file I/O.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use commcsl_telemetry::json::Json;
 
-use crate::batch::{verify_batch_stored, BatchConfig};
-use crate::hash::{program_hash, ProgramHash, HASH_FORMAT_VERSION};
+use crate::hash::{ProgramHash, HASH_FORMAT_VERSION};
 use crate::obligation::{ObligationKey, ObligationStore};
-use crate::program::AnnotatedProgram;
 use crate::report::{
     report_from_json, report_to_json, status_fields, status_from_json, ObligationStatus,
-    VerifierConfig, VerifierReport,
+    VerifierReport,
 };
 
 // ---------------------------------------------------------------- entries
@@ -324,27 +324,11 @@ impl VerdictCache {
         }
     }
 
-    /// Looks up a verdict: memory first, then disk (with promotion).
-    ///
-    /// Concurrent wrappers ([`CachedVerifier`]) should prefer
-    /// [`VerdictCache::probe_memory`] / [`VerdictCache::admit_disk`] so
-    /// the file I/O between them can run outside their lock.
-    pub fn get(&mut self, key: ProgramHash) -> Option<VerifierReport> {
-        let _span = commcsl_telemetry::span!("cache.get");
-        match self.probe_memory(key) {
-            Ok(report) => Some(report),
-            Err(path) => {
-                let text = path.as_deref().and_then(|p| fs::read_to_string(p).ok());
-                self.admit_disk(key, text.as_deref())
-            }
-        }
-    }
-
     /// Memory-tier-only lookup. A hit is counted and returned; a miss
     /// returns the disk path the caller should try (`None` inside the
     /// `Err` when the cache has no disk tier) *without* counting a miss
     /// yet — [`VerdictCache::admit_disk`] settles the statistics.
-    pub fn probe_memory(
+    fn probe_memory(
         &mut self,
         key: ProgramHash,
     ) -> Result<VerifierReport, Option<PathBuf>> {
@@ -365,7 +349,7 @@ impl VerdictCache {
     /// a valid verdict is promoted to memory and counted as a disk hit,
     /// anything else is counted as a miss (and a corrupt file deleted so
     /// it cannot shadow a future store).
-    pub fn admit_disk(
+    fn admit_disk(
         &mut self,
         key: ProgramHash,
         text: Option<&str>,
@@ -389,11 +373,7 @@ impl VerdictCache {
     }
 
     /// Stores a verdict in both tiers.
-    ///
-    /// Concurrent wrappers should [`VerdictCache::insert`] under their
-    /// lock and perform the [`write_verdict_file`] outside it.
-    pub fn put(&mut self, key: ProgramHash, report: &VerifierReport) {
-        let _span = commcsl_telemetry::span!("cache.put");
+    fn put(&mut self, key: ProgramHash, report: &VerifierReport) {
         if let Some(path) = self.verdict_path(key) {
             let _ = write_verdict_file(&path, key, report);
         }
@@ -401,14 +381,9 @@ impl VerdictCache {
     }
 
     /// Stores a verdict in the memory tier only (counted as a store).
-    pub fn insert(&mut self, key: ProgramHash, report: &VerifierReport) {
+    fn insert(&mut self, key: ProgramHash, report: &VerifierReport) {
         self.stats.stores += 1;
         self.insert_memory(key, report.clone());
-    }
-
-    /// The disk-tier file for `key`, if this cache has a disk tier.
-    pub fn disk_path(&self, key: ProgramHash) -> Option<PathBuf> {
-        self.verdict_path(key)
     }
 
     fn insert_memory(&mut self, key: ProgramHash, report: VerifierReport) {
@@ -609,7 +584,7 @@ impl ObligationStore for VerdictCache {
 /// [`VerdictCache`]: each lookup/store takes the lock briefly, so
 /// concurrent workspace sessions (daemon connections) interleave instead
 /// of serializing whole verifications.
-pub struct SharedObligationStore<'c>(pub &'c Mutex<VerdictCache>);
+pub(crate) struct SharedObligationStore<'c>(pub &'c Mutex<VerdictCache>);
 
 impl ObligationStore for SharedObligationStore<'_> {
     fn get(&mut self, key: ObligationKey) -> Option<ObligationStatus> {
@@ -624,8 +599,75 @@ impl ObligationStore for SharedObligationStore<'_> {
     }
 }
 
+/// The program-tier lookup of a shared cache: memory probes under one
+/// lock hold, disk reads with the lock released, then one more hold to
+/// admit what the disk returned. Per key, the verdict and the time its
+/// lookup took, or `None` on a miss.
+pub(crate) fn lookup_verdicts(
+    cache: &Mutex<VerdictCache>,
+    keys: &[ProgramHash],
+) -> Vec<Option<(VerifierReport, Duration)>> {
+    let _span = commcsl_telemetry::span!("cache.get");
+    let mut found = Vec::with_capacity(keys.len());
+    let mut disk_probes = Vec::new();
+    {
+        let mut cache = cache.lock().expect("verdict cache poisoned");
+        for (index, &key) in keys.iter().enumerate() {
+            let start = Instant::now();
+            match cache.probe_memory(key) {
+                Ok(report) => found.push(Some((report, start.elapsed()))),
+                Err(path) => {
+                    found.push(None);
+                    disk_probes.push((index, path));
+                }
+            }
+        }
+    }
+    if disk_probes.is_empty() {
+        return found;
+    }
+    let loaded: Vec<(usize, Instant, Option<String>)> = disk_probes
+        .into_iter()
+        .map(|(index, path)| {
+            let start = Instant::now();
+            (index, start, path.and_then(|p| fs::read_to_string(p).ok()))
+        })
+        .collect();
+    let mut cache = cache.lock().expect("verdict cache poisoned");
+    for (index, start, text) in loaded {
+        found[index] = cache
+            .admit_disk(keys[index], text.as_deref())
+            .map(|report| (report, start.elapsed()));
+    }
+    found
+}
+
+/// The program-tier store of a shared cache: memory inserts under one
+/// lock hold, then each verdict file written atomically with the lock
+/// released. A failed write only means the verdict is recomputed after a
+/// restart.
+pub(crate) fn store_verdicts<'r>(
+    cache: &Mutex<VerdictCache>,
+    verdicts: impl IntoIterator<Item = (ProgramHash, &'r VerifierReport)>,
+) {
+    let _span = commcsl_telemetry::span!("cache.put");
+    let writes: Vec<(PathBuf, ProgramHash, &VerifierReport)> = {
+        let mut cache = cache.lock().expect("verdict cache poisoned");
+        verdicts
+            .into_iter()
+            .filter_map(|(key, report)| {
+                cache.insert(key, report);
+                Some((cache.verdict_path(key)?, key, report))
+            })
+            .collect()
+    };
+    for (path, key, report) in writes {
+        let _ = write_verdict_file(&path, key, report);
+    }
+}
+
 /// Encodes and writes one verdict file atomically (temp file + rename).
-pub fn write_verdict_file(
+fn write_verdict_file(
     path: &Path,
     key: ProgramHash,
     report: &VerifierReport,
@@ -655,301 +697,17 @@ fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
     }
 }
 
-// -------------------------------------------------------- cached verifier
-
-/// The outcome of one program in a cached batch.
-#[derive(Debug, Clone)]
-pub struct CachedResult {
-    /// Position in the input batch.
-    pub index: usize,
-    /// The content address of the job.
-    pub key: ProgramHash,
-    /// The verdict (identical whether cached or computed). A placeholder
-    /// when `skipped`.
-    pub report: VerifierReport,
-    /// `true` when the verdict was served from cache.
-    pub cached: bool,
-    /// `true` when fail-fast stopped the batch before this program ran;
-    /// skipped placeholders are never stored in the cache.
-    pub skipped: bool,
-    /// Wall-clock time for this program (lookup or verification).
-    pub time: Duration,
-}
-
-/// A verifier with a content-addressed cache in front of it.
-///
-/// Lookups and verification results are keyed by
-/// [`program_hash`](crate::hash::program_hash) over the program *and* the
-/// verifier configuration, so one `CachedVerifier` always returns
-/// verdicts byte-identical to running [`crate::symexec::verify`] directly
-/// with its configuration. Internally synchronized; share it behind an
-/// `Arc` across daemon sessions.
-#[derive(Debug)]
-pub struct CachedVerifier {
-    batch: BatchConfig,
-    cache: Arc<Mutex<VerdictCache>>,
-}
-
-impl CachedVerifier {
-    /// Creates a cached verifier.
-    pub fn new(batch: BatchConfig, cache: CacheConfig) -> Self {
-        CachedVerifier::with_shared(batch, Arc::new(Mutex::new(VerdictCache::new(cache))))
-    }
-
-    /// Creates a cached verifier over an existing shared cache — the
-    /// daemon hands the same cache to its batch pipeline and to every
-    /// session's [`Workspace`](crate::workspace::Workspace), so a
-    /// program verified through one surface answers the other.
-    pub fn with_shared(batch: BatchConfig, cache: Arc<Mutex<VerdictCache>>) -> Self {
-        CachedVerifier { batch, cache }
-    }
-
-    /// The shared cache handle (for wiring workspaces to the same tiers).
-    pub fn shared_cache(&self) -> Arc<Mutex<VerdictCache>> {
-        Arc::clone(&self.cache)
-    }
-
-    /// The verifier configuration used for cache misses (and for keys).
-    pub fn verifier_config(&self) -> &VerifierConfig {
-        &self.batch.verifier
-    }
-
-    /// Verifies one program through the cache.
-    pub fn verify(&self, program: &AnnotatedProgram) -> CachedResult {
-        self.verify_batch(&[program]).remove(0)
-    }
-
-    /// Verifies a batch: cache hits are answered immediately, misses are
-    /// routed through the parallel pipeline of [`crate::batch`], stored,
-    /// and merged back **in input order**.
-    ///
-    /// The cache lock is held only for the in-memory tier; disk reads,
-    /// disk writes, and verification itself run outside it, so
-    /// concurrent callers (daemon sessions) do not serialize on file
-    /// I/O.
-    pub fn verify_batch(&self, programs: &[&AnnotatedProgram]) -> Vec<CachedResult> {
-        self.verify_batch_opts(programs, self.batch.fail_fast)
-    }
-
-    /// [`CachedVerifier::verify_batch`] with an explicit fail-fast
-    /// override (the daemon protocol carries the flag per request).
-    ///
-    /// Fail-fast semantics through a cache: hits are always answered
-    /// (they cost nothing); once a *hit* is known to fail, misses later
-    /// in the batch are skipped without dispatch, and the dispatched
-    /// misses themselves run under fail-fast. Skipped placeholders are
-    /// never stored.
-    pub fn verify_batch_opts(
-        &self,
-        programs: &[&AnnotatedProgram],
-        fail_fast: bool,
-    ) -> Vec<CachedResult> {
-        let keys: Vec<ProgramHash> = programs
-            .iter()
-            .map(|p| program_hash(p, &self.batch.verifier))
-            .collect();
-
-        // Memory probes, under one short lock hold. Misses keep their
-        // disk path (if any) for the unlocked read below.
-        let mut results: Vec<Option<CachedResult>> = Vec::with_capacity(programs.len());
-        let mut disk_probes: Vec<(usize, Option<PathBuf>)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            for (index, &key) in keys.iter().enumerate() {
-                let start = Instant::now();
-                match cache.probe_memory(key) {
-                    Ok(report) => results.push(Some(CachedResult {
-                        index,
-                        key,
-                        report,
-                        cached: true,
-                        skipped: false,
-                        time: start.elapsed(),
-                    })),
-                    Err(path) => {
-                        results.push(None);
-                        disk_probes.push((index, path));
-                    }
-                }
-            }
-        }
-
-        // Disk reads with the lock released; then settle hits/misses.
-        let loaded: Vec<(usize, Instant, Option<String>)> = disk_probes
-            .iter()
-            .map(|(index, path)| {
-                let start = Instant::now();
-                let text = path.as_deref().and_then(|p| fs::read_to_string(p).ok());
-                (*index, start, text)
-            })
-            .collect();
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            for (index, start, text) in loaded {
-                match cache.admit_disk(keys[index], text.as_deref()) {
-                    Some(report) => {
-                        results[index] = Some(CachedResult {
-                            index,
-                            key: keys[index],
-                            report,
-                            cached: true,
-                            skipped: false,
-                            time: start.elapsed(),
-                        })
-                    }
-                    None => misses.push(index),
-                }
-            }
-        }
-
-        // With fail-fast, a failing cache *hit* already stops dispatch:
-        // every miss after the first failing hit is answered with a
-        // skipped placeholder instead of being verified.
-        if fail_fast {
-            let first_failed_hit = results
-                .iter()
-                .flatten()
-                .filter(|r| !r.skipped && !r.report.verified())
-                .map(|r| r.index)
-                .min();
-            if let Some(stop) = first_failed_hit {
-                for &slot in misses.iter().filter(|&&s| s > stop) {
-                    results[slot] = Some(CachedResult {
-                        index: slot,
-                        key: keys[slot],
-                        report: crate::batch::skipped_report(&programs[slot].name),
-                        cached: false,
-                        skipped: true,
-                        time: Duration::ZERO,
-                    });
-                }
-                misses.retain(|&s| s < stop);
-            }
-        }
-
-        // Verify the misses in parallel, lock released. Duplicate keys
-        // within one batch are verified once; the extra occurrences are
-        // served from the freshly computed verdicts (NOT from the cache,
-        // whose LRU may already have evicted them).
-        if !misses.is_empty() {
-            let disk_paths: HashMap<usize, Option<PathBuf>> =
-                disk_probes.into_iter().collect();
-            let mut unique: Vec<usize> = Vec::new();
-            let mut seen: HashSet<ProgramHash> = HashSet::new();
-            for &slot in &misses {
-                if seen.insert(keys[slot]) {
-                    unique.push(slot);
-                }
-            }
-            let miss_programs: Vec<&AnnotatedProgram> =
-                unique.iter().map(|&i| programs[i]).collect();
-            let mut batch_config = self.batch.clone();
-            batch_config.fail_fast = fail_fast;
-            // Misses run against the shared obligation tier: statuses
-            // whose cones earlier traffic (batch or workspace, local or
-            // remote) already settled replay instead of re-solving, and
-            // every freshly computed status is recorded for both
-            // surfaces. Reports stay byte-identical either way.
-            let verified = verify_batch_stored(&miss_programs, &batch_config, &self.cache);
-
-            let mut fresh: HashMap<ProgramHash, VerifierReport> = HashMap::new();
-            for (slot, result) in unique.iter().zip(verified) {
-                let key = keys[*slot];
-                if result.skipped {
-                    // Fail-fast placeholder: surfaced to the caller but
-                    // never written to either cache tier — it is not a
-                    // verdict.
-                    results[*slot] = Some(CachedResult {
-                        index: *slot,
-                        key,
-                        report: result.report,
-                        cached: false,
-                        skipped: true,
-                        time: result.time,
-                    });
-                    continue;
-                }
-                // Disk write outside the lock; a failed write only means
-                // the verdict will be recomputed after a restart.
-                if let Some(Some(path)) = disk_paths.get(slot) {
-                    let _ = write_verdict_file(path, key, &result.report);
-                }
-                fresh.insert(key, result.report.clone());
-                results[*slot] = Some(CachedResult {
-                    index: *slot,
-                    key,
-                    report: result.report,
-                    cached: false,
-                    skipped: false,
-                    time: result.time,
-                });
-            }
-            {
-                let mut cache = self.cache.lock().expect("verdict cache poisoned");
-                for (&key, report) in &fresh {
-                    cache.insert(key, report);
-                }
-            }
-            for &slot in &misses {
-                if results[slot].is_none() {
-                    let key = keys[slot];
-                    match fresh.get(&key) {
-                        Some(report) => {
-                            results[slot] = Some(CachedResult {
-                                index: slot,
-                                key,
-                                report: report.clone(),
-                                cached: true,
-                                skipped: false,
-                                time: Duration::ZERO,
-                            });
-                        }
-                        None => {
-                            // The duplicate's representative was skipped
-                            // by fail-fast; this slot is skipped too.
-                            results[slot] = Some(CachedResult {
-                                index: slot,
-                                key,
-                                report: crate::batch::skipped_report(&programs[slot].name),
-                                cached: false,
-                                skipped: true,
-                                time: Duration::ZERO,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot is a hit or a verified miss"))
-            .collect()
-    }
-
-    /// Cumulative cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.lock().expect("verdict cache poisoned").stats()
-    }
-
-    /// Number of verdicts currently in the in-memory tier.
-    pub fn memory_entries(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .memory_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use commcsl_pure::{Sort, Term};
 
+    use std::sync::Arc;
+
     use super::*;
     use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
-    use crate::program::VStmt;
-    use crate::report::{CoreFact, Lint, LintCode, ObligationResult, Severity};
+    use crate::hash::program_hash;
+    use crate::program::{AnnotatedProgram, VStmt};
+    use crate::report::{CoreFact, Lint, LintCode, ObligationResult, Severity, VerifierConfig};
     use crate::symexec::verify;
 
     fn ok_program(name: &str) -> AnnotatedProgram {
@@ -959,11 +717,9 @@ mod tests {
         ])
     }
 
-    fn leaky_program(name: &str) -> AnnotatedProgram {
-        AnnotatedProgram::new(name).with_body([
-            VStmt::input("h", Sort::Int, false),
-            VStmt::Output(Term::var("h")),
-        ])
+    /// One program-tier lookup through the shared-cache path.
+    fn get(cache: &Mutex<VerdictCache>, key: ProgramHash) -> Option<VerifierReport> {
+        lookup_verdicts(cache, &[key]).remove(0).map(|(report, _)| report)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1139,22 +895,21 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_and_counts() {
-        let mut cache = VerdictCache::new(CacheConfig::memory_only(2));
+        let cache = Mutex::new(VerdictCache::new(CacheConfig::memory_only(2)));
         let r = VerifierReport {
             program: "p".into(),
             obligations: vec![],
             errors: vec![],
             hints: vec![],
         };
-        cache.put(ProgramHash(1), &r);
-        cache.put(ProgramHash(2), &r);
-        assert!(cache.get(ProgramHash(1)).is_some()); // 1 is now fresher than 2
-        cache.put(ProgramHash(3), &r); // evicts 2
-        assert_eq!(cache.memory_len(), 2);
-        assert!(cache.get(ProgramHash(2)).is_none());
-        assert!(cache.get(ProgramHash(1)).is_some());
-        assert!(cache.get(ProgramHash(3)).is_some());
-        let stats = cache.stats();
+        store_verdicts(&cache, [(ProgramHash(1), &r), (ProgramHash(2), &r)]);
+        assert!(get(&cache, ProgramHash(1)).is_some()); // 1 is now fresher than 2
+        store_verdicts(&cache, [(ProgramHash(3), &r)]); // evicts 2
+        assert_eq!(cache.lock().unwrap().memory_len(), 2);
+        assert!(get(&cache, ProgramHash(2)).is_none());
+        assert!(get(&cache, ProgramHash(1)).is_some());
+        assert!(get(&cache, ProgramHash(3)).is_some());
+        let stats = cache.lock().unwrap().stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.memory_hits, 3);
@@ -1168,73 +923,24 @@ mod tests {
         let key = program_hash(&program, &config);
         let report = verify(&program, &config);
 
-        {
-            let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
-            cache.put(key, &report);
-        }
+        let persistent = || Mutex::new(VerdictCache::new(CacheConfig::persistent(&dir)));
+        store_verdicts(&persistent(), [(key, &report)]);
         // A fresh cache (fresh process, conceptually) hits via disk.
-        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
-        let loaded = cache.get(key).expect("disk hit");
+        let cache = persistent();
+        let loaded = get(&cache, key).expect("disk hit");
         assert_eq!(loaded.to_json(), report.to_json());
-        assert_eq!(cache.stats().disk_hits, 1);
+        assert_eq!(cache.lock().unwrap().stats().disk_hits, 1);
         // Promotion: the second lookup is a memory hit.
-        assert!(cache.get(key).is_some());
-        assert_eq!(cache.stats().memory_hits, 1);
+        assert!(get(&cache, key).is_some());
+        assert_eq!(cache.lock().unwrap().stats().memory_hits, 1);
 
         // Corrupt the file: the next fresh cache treats it as a miss and
         // removes it.
-        let path = cache.verdict_path(key).unwrap();
+        let path = cache.lock().unwrap().verdict_path(key).unwrap();
         fs::write(&path, "commcsl-verdict 999\nnot a verdict").unwrap();
-        let mut fresh = VerdictCache::new(CacheConfig::persistent(&dir));
-        assert!(fresh.get(key).is_none());
+        assert!(get(&persistent(), key).is_none());
         assert!(!path.exists());
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cached_verifier_hits_and_verdicts_are_identical() {
-        let verifier =
-            CachedVerifier::new(BatchConfig::with_threads(2), CacheConfig::memory_only(64));
-        let ok = ok_program("cv-ok");
-        let leaky = leaky_program("cv-leaky");
-        let programs: Vec<&AnnotatedProgram> = vec![&ok, &leaky];
-
-        let cold = verifier.verify_batch(&programs);
-        assert!(cold.iter().all(|r| !r.cached));
-        let warm = verifier.verify_batch(&programs);
-        assert!(warm.iter().all(|r| r.cached));
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.key, w.key);
-            assert_eq!(c.report.to_json(), w.report.to_json());
-        }
-        // Cached verdicts equal direct verification byte-for-byte.
-        let direct = verify(&leaky, verifier.verifier_config());
-        assert_eq!(warm[1].report.to_json(), direct.to_json());
-
-        let stats = verifier.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.memory_hits, 2);
-        assert_eq!(stats.stores, 2);
-    }
-
-    #[test]
-    fn duplicate_keys_survive_immediate_lru_eviction() {
-        // Regression: with a capacity-1 memory tier and no disk tier,
-        // verifying [A, B, A] evicts A's fresh verdict before the
-        // duplicate slot is served; the duplicate must be answered from
-        // the batch's own results, not the (already-evicted) cache.
-        let verifier = CachedVerifier::new(
-            BatchConfig::with_threads(1),
-            CacheConfig::memory_only(1),
-        );
-        let a = ok_program("dup-a");
-        let b = ok_program("dup-b");
-        let results = verifier.verify_batch(&[&a, &b, &a]);
-        assert_eq!(results.len(), 3);
-        assert!(!results[0].cached && !results[1].cached);
-        assert!(results[2].cached, "duplicate slot is served, not recomputed");
-        assert_eq!(results[0].key, results[2].key);
-        assert_eq!(results[0].report.to_json(), results[2].report.to_json());
     }
 
     #[test]
@@ -1248,17 +954,18 @@ mod tests {
             ..Default::default()
         };
         let dir = temp_dir("backend-miss");
-        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+        let cache = Mutex::new(VerdictCache::new(CacheConfig::persistent(&dir)));
 
         let incremental_key = program_hash(&program, &incremental_config);
-        cache.put(incremental_key, &verify(&program, &incremental_config));
+        let report = verify(&program, &incremental_config);
+        store_verdicts(&cache, [(incremental_key, &report)]);
 
         // A different backend (or counterexample knob) is a different
         // address: the stored verdict is never served for it.
         let fresh_key = program_hash(&program, &fresh_config);
         assert_ne!(incremental_key, fresh_key);
-        assert!(cache.get(fresh_key).is_none(), "must miss, never stale");
-        assert!(cache.get(incremental_key).is_some());
+        assert!(get(&cache, fresh_key).is_none(), "must miss, never stale");
+        assert!(get(&cache, incremental_key).is_some());
 
         let nocex_key = program_hash(
             &program,
@@ -1268,7 +975,7 @@ mod tests {
             },
         );
         assert_ne!(incremental_key, nocex_key);
-        assert!(cache.get(nocex_key).is_none());
+        assert!(get(&cache, nocex_key).is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1417,24 +1124,16 @@ mod tests {
         assert!(client.import_obligation(ObligationKey(11), &obl_entry));
         assert!(client.import_verdict(ProgramHash(12), &verdict_entry));
         assert_eq!(client.get_obligation(ObligationKey(11)), Some(status));
+        let client = Mutex::new(client);
         assert_eq!(
-            client.get(ProgramHash(12)).map(|r| r.to_json()),
+            get(&client, ProgramHash(12)).map(|r| r.to_json()),
             Some(report.to_json())
         );
+        let mut client = client.into_inner().unwrap();
         // Wrong-key and garbage entries are refused with no state change.
         assert!(!client.import_obligation(ObligationKey(13), &obl_entry));
         assert!(!client.import_verdict(ProgramHash(13), &verdict_entry));
         assert!(!client.import_obligation(ObligationKey(13), "garbage"));
         assert_eq!(client.get_obligation(ObligationKey(13)), None);
-    }
-
-    #[test]
-    fn same_body_different_name_is_a_different_address() {
-        let verifier =
-            CachedVerifier::new(BatchConfig::default(), CacheConfig::memory_only(64));
-        let a = verifier.verify(&ok_program("name-a"));
-        let b = verifier.verify(&ok_program("name-b"));
-        assert_ne!(a.key, b.key);
-        assert!(!b.cached, "a renamed program must not hit a's verdict");
     }
 }

@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod batch;
 pub mod cache;
 pub mod hash;
 pub mod minimize;
@@ -74,8 +73,7 @@ pub mod workspace;
 pub use commcsl_analysis::{diag, program};
 
 pub use api::{Outcome, Verifier};
-pub use batch::{verify_batch, BatchConfig, BatchResult};
-pub use cache::{CacheConfig, CacheStats, CachedResult, CachedVerifier, VerdictCache};
+pub use cache::{CacheConfig, CacheStats, VerdictCache};
 pub use diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 pub use hash::{program_hash, ProgramHash, StableHash, StableHasher};
 pub use minimize::{minimize_counterexample, Minimized};
@@ -88,5 +86,5 @@ pub use report::{
     CoreFact, Lint, LintCode, ObligationResult, ObligationStatus, Severity, VerifierConfig,
     VerifierReport,
 };
-pub use symexec::{solver_trace, verify, verify_incremental, verify_with_stats, SolverEvent};
+pub use symexec::{solver_trace, verify, verify_incremental, SolverEvent};
 pub use workspace::{DocOutcome, Workspace, WorkspaceConfig, WorkspaceEvent};

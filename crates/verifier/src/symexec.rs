@@ -72,7 +72,7 @@ pub fn verify(program: &AnnotatedProgram, config: &VerifierConfig) -> VerifierRe
 /// run their own sessions inside `commcsl-logic` and are not aggregated
 /// here). The report is the same value [`verify`] returns; the extras are
 /// diagnostic payload that never enters reports, hashes, or caches.
-pub fn verify_with_stats(
+pub(crate) fn verify_with_stats(
     program: &AnnotatedProgram,
     config: &VerifierConfig,
 ) -> (VerifierReport, DischargeStats, Vec<Duration>, SessionStats) {

@@ -14,16 +14,23 @@
 //! * the **program tier** answers unchanged programs with their whole
 //!   cached report ([`program_hash`] address), and
 //! * the **obligation tier** answers changed programs obligation by
-//!   obligation: [`verify_incremental`](crate::symexec::verify_incremental)
+//!   obligation: [`verify_incremental`]
 //!   re-discharges only the obligations whose dependency cone the edit
 //!   dirtied and replays cached statuses for the rest. A
 //!   single-statement edit near the end of a document re-checks one
 //!   obligation; everything before it is a key hit.
 //!
+//! The program tier is read and written through the same lookup and
+//! store as [`Verifier`](crate::api::Verifier)'s cached route, which hold
+//! the cache lock only for the in-memory tier: verdict files are read and
+//! written with it released.
+//!
 //! Workspaces share their cache freely: the `commcsl-server` daemon
-//! gives every connection its own `Workspace` over one shared cache, so
-//! two clients editing different documents (or the same program compiled
-//! from different files) serve each other's obligations.
+//! gives every connection its own `Workspace` over its
+//! [`Verifier`](crate::api::Verifier)'s cache, so two clients editing
+//! different documents (or the same program compiled from different
+//! files, or sent through the `verify` op) serve each other's
+//! obligations.
 //!
 //! Progress is observable: the `*_with` variants stream
 //! [`WorkspaceEvent`]s — `Started`, one `Obligation` per settled
@@ -34,7 +41,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
+use crate::cache::{
+    lookup_verdicts, store_verdicts, CacheConfig, CacheStats, SharedObligationStore, VerdictCache,
+};
 use crate::hash::{program_hash, ProgramHash};
 use crate::obligation::{DischargeStats, ObligationVerdict};
 use crate::program::AnnotatedProgram;
@@ -144,7 +153,7 @@ impl Workspace {
 
     /// A workspace over a shared cache (daemon sessions all point at the
     /// server's cache; see
-    /// [`CachedVerifier::shared_cache`](crate::cache::CachedVerifier::shared_cache)).
+    /// [`Verifier::shared_cache`](crate::api::Verifier::shared_cache)).
     pub fn with_shared_cache(
         config: VerifierConfig,
         cache: Arc<Mutex<VerdictCache>>,
@@ -263,13 +272,9 @@ impl Workspace {
         });
 
         // Program tier: an unchanged program replays its whole report.
-        let cached_report = self
-            .cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .get(key);
+        let cached_report = lookup_verdicts(&self.cache, &[key]).remove(0);
         let (report, report_cached, obligations) = match cached_report {
-            Some(report) => {
+            Some((report, _)) => {
                 for (index, result) in report.obligations.iter().enumerate() {
                     on_event(WorkspaceEvent::Obligation {
                         index,
@@ -304,10 +309,7 @@ impl Workspace {
                 };
                 let (report, stats) =
                     verify_incremental(program, &self.config, &mut store, &mut sink);
-                self.cache
-                    .lock()
-                    .expect("verdict cache poisoned")
-                    .put(key, &report);
+                store_verdicts(&self.cache, [(key, &report)]);
                 (report, false, stats)
             }
         };

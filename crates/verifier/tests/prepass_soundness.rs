@@ -19,7 +19,7 @@ use commcsl_logic::spec::{ActionDef, ActionKind, ResourceSpec};
 use commcsl_pure::{Func, Sort, Term};
 use commcsl_verifier::program::{AnnotatedProgram, VStmt};
 use commcsl_verifier::report::VerifierConfig;
-use commcsl_verifier::verify_with_stats;
+use commcsl_verifier::Verifier;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,8 +212,12 @@ proptest! {
     fn static_claims_agree_with_the_solver(seed in 0u64..1_000_000_000) {
         let program = gen_program(seed);
         let (on, off) = configs();
-        let (report_on, stats_on, _, _) = verify_with_stats(&program, &on);
-        let (report_off, stats_off, _, _) = verify_with_stats(&program, &off);
+        let run = |config| {
+            let outcome = Verifier::new().with_config(config).with_threads(1).verify(&program);
+            (outcome.report, outcome.stats.expect("uncached runs report discharge stats"))
+        };
+        let (report_on, stats_on) = run(on);
+        let (report_off, stats_off) = run(off);
 
         prop_assert_eq!(
             report_on.to_json(),

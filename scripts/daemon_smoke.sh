@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Daemon smoke test: start `commcsl serve`, push the full corpus through
 # the client twice (accepted and rejected sets), assert the second pass
-# is served >=90% from cache via `daemon status`, and shut down cleanly.
+# is served >=90% from cache via `daemon status`, that the cold pass fed
+# the obligation split and the warm pass left it unchanged, and shut
+# down cleanly.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -33,8 +35,9 @@ run_client() {
 # Two passes over both corpora: pass 1 populates the cache, pass 2 must
 # be answered from it. Verdict expectations are pinned either way.
 run_client examples/programs
-run_client examples/programs > "$WORK/second_pass.txt"
 run_client --expect rejected examples/rejected
+COLD=$("$BIN" daemon status --socket "$SOCK" --json)
+run_client examples/programs > "$WORK/second_pass.txt"
 run_client --expect rejected examples/rejected
 
 grep -q "cached" "$WORK/second_pass.txt" \
@@ -42,9 +45,13 @@ grep -q "cached" "$WORK/second_pass.txt" \
 
 STATUS=$("$BIN" daemon status --socket "$SOCK" --json)
 echo "daemon smoke: status = $STATUS"
-python3 - "$STATUS" <<'EOF'
+python3 - "$COLD" "$STATUS" <<'EOF'
 import json, sys
-s = json.loads(sys.argv[1])
+cold = json.loads(sys.argv[1])
+s = json.loads(sys.argv[2])
+split = lambda d: (d["statically_proven"], d["solver_checked"])
+assert all(n > 0 for n in split(cold)), f"cold verify misses feed the obligation split: {cold}"
+assert split(s) == split(cold), f"warm program-tier hits leave the split unchanged: {cold} -> {s}"
 hits = s["memory_hits"] + s["disk_hits"]
 misses = s["misses"]
 corpus = 23  # 18 accepted + 5 rejected programs per pass

@@ -7,10 +7,9 @@
 use commcsl::front::{cli, compile};
 use commcsl::server::json::Json;
 use commcsl::server::protocol::{report_from_json, report_to_json};
-use commcsl::verifier::cache::{CacheConfig, VerdictCache};
-use commcsl::verifier::hash::program_hash;
+use commcsl::verifier::cache::CacheConfig;
 use commcsl::verifier::report::VerifierConfig;
-use commcsl::verifier::{verify, DiagnosticCode, SourceSpan};
+use commcsl::verifier::{verify, DiagnosticCode, SourceSpan, Verifier};
 
 const LEAKY: &str = "program leaky;\n\
                      input h: Int high;\n\
@@ -67,15 +66,18 @@ fn counterexamples_round_trip_through_every_codec() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let key = program_hash(&program, &config);
-    {
-        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
-        cache.put(key, &report);
-    }
-    let mut fresh = VerdictCache::new(CacheConfig::persistent(&dir));
-    let loaded = fresh.get(key).expect("disk hit");
-    assert_eq!(loaded.obligations, report.obligations);
-    assert_eq!(loaded.to_json(), json);
+    let persistent = || {
+        Verifier::new()
+            .with_config(config.clone())
+            .with_cache(CacheConfig::persistent(&dir))
+    };
+    assert_eq!(persistent().verify(&program).report.to_json(), json);
+    let restarted = persistent();
+    let loaded = restarted.verify(&program);
+    assert_eq!(loaded.cached, Some(true));
+    assert_eq!(restarted.cache_stats().map(|s| s.disk_hits), Some(1));
+    assert_eq!(loaded.report.obligations, report.obligations);
+    assert_eq!(loaded.report.to_json(), json);
     std::fs::remove_dir_all(&dir).ok();
 }
 

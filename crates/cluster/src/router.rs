@@ -2,7 +2,7 @@
 //! consistent-hash router.
 //!
 //! Each shard is a full [`Server`] with its own verdict/obligation
-//! cache and per-session [`Workspace`]s — shards share *nothing*, so a
+//! cache and per-session `Workspace`s — shards share *nothing*, so a
 //! pool is exactly N independent daemons plus deterministic routing:
 //!
 //! * v1 requests (`verify`, `verify_batch`, `lint`) route on the

@@ -56,6 +56,11 @@ pub const KEYWORDS: &[&str] = &[
     "output",
 ];
 
+/// Deepest nesting of statements, expressions, unary operands and sorts
+/// the parser accepts; deeper input is a [`ParseError`], not a stack
+/// overflow. Real programs nest fewer than ten levels.
+pub(crate) const MAX_DEPTH: usize = 64;
+
 const SYMBOLS: &[&str] = &[
     ":=", "==", "!=", "<=", ">=", "&&", "||", "..", "(", ")", "[", "]", "{", "}", ",",
     ";", ":", "+", "-", "*", "/", "%", "<", ">", "!", "=", "?", ".",
@@ -90,17 +95,33 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Token,
     pos: Pos,
+    /// Levels currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Result<Self, ParseError> {
         let mut lexer = Lexer::new(input, SYMBOLS);
         let (tok, pos) = lexer.next_token()?;
-        Ok(Parser { lexer, tok, pos })
+        Ok(Parser { lexer, tok, pos, depth: 0 })
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError::new(self.pos, message))
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn advance(&mut self) -> Result<(), ParseError> {
@@ -282,15 +303,15 @@ impl<'a> Parser<'a> {
         let (head, head_pos) = self.eat_ident("a sort")?;
         let one = |p: &mut Self| -> Result<Sort, ParseError> {
             p.eat_sym("[")?;
-            let s = p.parse_sort()?;
+            let s = p.nested(Self::parse_sort)?;
             p.eat_sym("]")?;
             Ok(s)
         };
         let two = |p: &mut Self| -> Result<(Sort, Sort), ParseError> {
             p.eat_sym("[")?;
-            let a = p.parse_sort()?;
+            let a = p.nested(Self::parse_sort)?;
             p.eat_sym(",")?;
-            let b = p.parse_sort()?;
+            let b = p.nested(Self::parse_sort)?;
             p.eat_sym("]")?;
             Ok((a, b))
         };
@@ -335,7 +356,7 @@ impl<'a> Parser<'a> {
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos;
-        let kind = self.parse_stmt_kind()?;
+        let kind = self.nested(Self::parse_stmt_kind)?;
         Ok(Stmt { pos, kind })
     }
 
@@ -484,7 +505,7 @@ impl<'a> Parser<'a> {
     // ---------------------------------------------------------- expressions
 
     fn parse_expr(&mut self) -> Result<Term, ParseError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Term, ParseError> {
@@ -576,7 +597,7 @@ impl<'a> Parser<'a> {
     fn parse_unary(&mut self) -> Result<Term, ParseError> {
         if self.at_sym("!") {
             self.advance()?;
-            return Ok(Term::not(self.parse_unary()?));
+            return Ok(Term::not(self.nested(Self::parse_unary)?));
         }
         if self.at_sym("-") {
             self.advance()?;
@@ -586,7 +607,7 @@ impl<'a> Parser<'a> {
                 self.advance()?;
                 return Ok(Term::int(-n));
             }
-            return Ok(Term::app(Func::Neg, [self.parse_unary()?]));
+            return Ok(Term::app(Func::Neg, [self.nested(Self::parse_unary)?]));
         }
         self.parse_primary()
     }
@@ -641,7 +662,7 @@ impl<'a> Parser<'a> {
                         args.len()
                     ));
                 }
-                Ok(Term::App(func, args))
+                Ok(Term::App(func, args.into()))
             }
             other => self.err(format!("expected an expression, found {other}")),
         }
@@ -806,6 +827,57 @@ mod tests {
         let err = parse_surface("program p;\noutput := 1;").unwrap_err();
         // `output :=` parses as `output` statement with expression `:= 1`.
         assert_eq!(err.pos.line, 2);
+    }
+
+    #[test]
+    fn deep_parentheses_are_a_parse_error() {
+        let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let e = parse_term(&deep).unwrap_err();
+        // The top-level expression is level 1, so the 64th `(` would open
+        // level 65; the error sits on the token after it.
+        assert_eq!((e.pos.line, e.pos.col), (1, MAX_DEPTH as u32 + 1));
+        assert!(e.message.contains("nesting deeper than 64"), "{e}");
+        let ok = format!(
+            "{}1{}",
+            "(".repeat(MAX_DEPTH - 1),
+            ")".repeat(MAX_DEPTH - 1)
+        );
+        assert_eq!(parse_term(&ok).unwrap(), Term::int(1));
+        let nots = format!("{}true", "!".repeat(100_000));
+        assert!(parse_term(&nots)
+            .unwrap_err()
+            .message
+            .contains("nesting deeper"));
+    }
+
+    #[test]
+    fn deep_blocks_are_a_parse_error() {
+        let deep = format!(
+            "program p;\n{}{}",
+            "if (true) {".repeat(100_000),
+            "}".repeat(100_000)
+        );
+        let e = parse_surface(&deep).unwrap_err();
+        assert!(e.message.contains("nesting deeper than 64"), "{e}");
+        // The 64th `if` is level 64, so its condition would open level 65:
+        // the error sits on that `true`.
+        assert_eq!(e.pos.line, 2);
+        assert_eq!(
+            e.pos.col as usize,
+            (MAX_DEPTH - 1) * "if (true) {".len() + 5
+        );
+        let ok = format!(
+            "program p;\n{}{}",
+            "if (true) {".repeat(MAX_DEPTH - 1),
+            "}".repeat(MAX_DEPTH - 1)
+        );
+        parse_surface(&ok).unwrap();
+        let sort = format!("Seq[{}Int{}]", "Seq[".repeat(100_000), "]".repeat(100_000));
+        let src = format!("program p;\ninput x: {sort} low;\n");
+        assert!(parse_surface(&src)
+            .unwrap_err()
+            .message
+            .contains("nesting deeper"));
     }
 
     #[test]

@@ -91,3 +91,31 @@ fn syntax_errors_point_into_later_lines() {
     let (line, col, _) = err_at(&src);
     assert_eq!((line, col), (9, 12));
 }
+
+#[test]
+fn verify_reports_deep_nesting_as_a_parse_error_instead_of_aborting() {
+    let dir = std::env::temp_dir().join(format!("commcsl-deep-nesting-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("deep.csl");
+    let parens = 100_000;
+    let src = format!(
+        "program deep;\noutput {}1{};\n",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    );
+    std::fs::write(&file, src).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_commcsl"))
+        .arg("verify")
+        .arg(&file)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(commcsl_front::cli::EXIT_ERROR),
+        "{stdout}"
+    );
+    assert!(stdout.contains("parse error at 2:"), "{stdout}");
+    assert!(stdout.contains("nesting deeper than"), "{stdout}");
+}

@@ -444,7 +444,7 @@ impl<'a> Parser<'a> {
                 args.len()
             ));
         }
-        Ok(Term::App(func, args))
+        Ok(Term::App(func, args.into()))
     }
 }
 

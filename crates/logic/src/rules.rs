@@ -614,9 +614,7 @@ fn assertions_equal(a: &Assertion, b: &Assertion) -> bool {
 
 /// Substitutes a term for a variable in every expression of an assertion.
 pub fn subst_assertion(a: &Assertion, x: &Symbol, t: &Term) -> Assertion {
-    let bind: std::collections::BTreeMap<Symbol, Term> =
-        [(x.clone(), t.clone())].into_iter().collect();
-    let s = |e: &Term| e.subst(&bind);
+    let s = |e: &Term| e.subst_with(&|y| (y == x).then(|| t.clone()));
     match a {
         Assertion::Emp => Assertion::Emp,
         Assertion::BoolExpr(b) => Assertion::BoolExpr(s(b)),

@@ -17,8 +17,6 @@
 //! the solver) with the same definition. The constructors at the bottom
 //! build the specification library used by the paper's evaluation suite.
 
-use std::collections::BTreeMap;
-
 use commcsl_pure::term::Env;
 use commcsl_pure::{Func, PureResult, Sort, Symbol, Term, Value};
 
@@ -84,13 +82,11 @@ impl ActionDef {
 
     /// Instantiates the body with symbolic value/argument terms.
     pub fn apply_term(&self, value: &Term, arg: &Term) -> Term {
-        let bindings: BTreeMap<Symbol, Term> = [
-            (Symbol::new(ResourceSpec::VALUE_VAR), value.clone()),
-            (Symbol::new(Self::ARG_VAR), arg.clone()),
-        ]
-        .into_iter()
-        .collect();
-        self.body.subst(&bindings)
+        self.body.subst_with(&|x| match x.as_str() {
+            ResourceSpec::VALUE_VAR => Some(value.clone()),
+            Self::ARG_VAR => Some(arg.clone()),
+            _ => None,
+        })
     }
 
     /// Executes the action on concrete values.
@@ -111,13 +107,11 @@ impl ActionDef {
 
     /// Instantiates the relational precondition with symbolic arguments.
     pub fn pre_term(&self, arg1: &Term, arg2: &Term) -> Term {
-        let bindings: BTreeMap<Symbol, Term> = [
-            (Symbol::new(Self::ARG1_VAR), arg1.clone()),
-            (Symbol::new(Self::ARG2_VAR), arg2.clone()),
-        ]
-        .into_iter()
-        .collect();
-        self.pre.subst(&bindings)
+        self.pre.subst_with(&|x| match x.as_str() {
+            Self::ARG1_VAR => Some(arg1.clone()),
+            Self::ARG2_VAR => Some(arg2.clone()),
+            _ => None,
+        })
     }
 
     /// Evaluates the relational precondition on concrete argument pairs.
@@ -191,11 +185,8 @@ impl ResourceSpec {
 
     /// Instantiates `α` with a symbolic value term.
     pub fn alpha_term(&self, value: &Term) -> Term {
-        let bindings: BTreeMap<Symbol, Term> =
-            [(Symbol::new(Self::VALUE_VAR), value.clone())]
-                .into_iter()
-                .collect();
-        self.alpha.subst(&bindings)
+        self.alpha
+            .subst_with(&|x| (x.as_str() == Self::VALUE_VAR).then(|| value.clone()))
     }
 
     /// Evaluates `α` on a concrete value.

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ops::{sort_mismatch, PureResult};
 use crate::symbol::Symbol;
@@ -183,8 +184,9 @@ pub enum Term {
     Var(Symbol),
     /// A literal value.
     Lit(Value),
-    /// A function application.
-    App(Func, Vec<Term>),
+    /// A function application. The arguments sit behind an `Arc`, so a
+    /// clone shares them instead of copying the tree.
+    App(Func, Arc<[Term]>),
 }
 
 /// Environments bind variables to values for ground evaluation.
@@ -274,7 +276,7 @@ impl Term {
         match cs.len() {
             0 => Term::tt(),
             1 => cs.into_iter().next().expect("len checked"),
-            _ => Term::App(Func::And, cs),
+            _ => Term::App(Func::And, cs.into()),
         }
     }
 
@@ -284,7 +286,7 @@ impl Term {
         match ds.len() {
             0 => Term::ff(),
             1 => ds.into_iter().next().expect("len checked"),
-            _ => Term::App(Func::Or, ds),
+            _ => Term::App(Func::Or, ds.into()),
         }
     }
 
@@ -329,7 +331,7 @@ impl Term {
             }
             Term::Lit(_) => {}
             Term::App(_, args) => {
-                for a in args {
+                for a in args.iter() {
                     a.collect_vars(out);
                 }
             }
@@ -348,12 +350,18 @@ impl Term {
     ///
     /// The term language has no binders, so substitution is structural.
     pub fn subst(&self, bindings: &BTreeMap<Symbol, Term>) -> Term {
+        self.subst_with(&|x| bindings.get(x).cloned())
+    }
+
+    /// [`Term::subst`] through a lookup: variables it maps to `None` stay.
+    pub fn subst_with(&self, lookup: &impl Fn(&Symbol) -> Option<Term>) -> Term {
         match self {
-            Term::Var(x) => bindings.get(x).cloned().unwrap_or_else(|| self.clone()),
+            Term::Var(x) => lookup(x).unwrap_or_else(|| self.clone()),
             Term::Lit(_) => self.clone(),
-            Term::App(f, args) => {
-                Term::App(f.clone(), args.iter().map(|a| a.subst(bindings)).collect())
-            }
+            Term::App(f, args) => Term::App(
+                f.clone(),
+                args.iter().map(|a| a.subst_with(lookup)).collect(),
+            ),
         }
     }
 
@@ -509,15 +517,16 @@ fn eval_app(f: &Func, args: &[Term], env: &Env) -> PureResult<Value> {
 impl fmt::Debug for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Var(x) => write!(f, "{x}"),
-            Term::Lit(v) => write!(f, "{v:?}"),
+            Term::Var(x) => f.write_str(x.as_str()),
+            Term::Lit(v) => fmt::Debug::fmt(v, f),
             Term::App(func, args) => {
-                write!(f, "{func:?}(")?;
+                fmt::Debug::fmt(func, f)?;
+                f.write_str("(")?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{a:?}")?;
+                    fmt::Debug::fmt(a, f)?;
                 }
                 f.write_str(")")
             }
@@ -624,6 +633,37 @@ mod tests {
     fn empty_and_or_units() {
         assert_eq!(Term::and([]), Term::tt());
         assert_eq!(Term::or([]), Term::ff());
+    }
+
+    #[test]
+    fn clones_share_arguments_and_the_canonical_order_is_pinned() {
+        let t = Term::add(Term::var("x"), Term::app(Func::SeqLen, [Term::var("s")]));
+        let (Term::App(_, a), Term::App(_, b)) = (&t, &t.clone()) else {
+            unreachable!("an application");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // The AC rewrites sort operands by this order, so it decides which
+        // normal form (and so which verdict) an obligation reaches.
+        let mut terms = vec![
+            Term::add(Term::var("y"), Term::int(1)),
+            Term::int(-3),
+            Term::var("y"),
+            Term::app(Func::SeqLen, [Term::var("s")]),
+            Term::add(Term::var("x"), Term::int(2)),
+            Term::tt(),
+            Term::var("x"),
+            Term::add(Term::var("x"), Term::add(Term::var("x"), Term::int(1))),
+            Term::not(Term::var("p")),
+            Term::int(7),
+            Term::app(Func::And, [Term::var("p")]),
+            Term::add(Term::var("x"), Term::int(1)),
+        ];
+        terms.sort();
+        assert_eq!(
+            format!("{terms:?}"),
+            "[x, y, -3, 7, true, Add(x, 1), Add(x, 2), Add(x, Add(x, 1)), Add(y, 1), \
+             Not(p), And(p), SeqLen(s)]"
+        );
     }
 
     #[test]

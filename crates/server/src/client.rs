@@ -6,8 +6,8 @@
 //! stdio-transport child process is driven. Both named transports share
 //! one bounded-retry helper, [`connect_with_retry`]: the
 //! [`connect_or_start`] daemon autostart path and the
-//! [`connect_tcp_retry`] cluster path report the same pinned "daemon
-//! did not come up within Nms" error when the wait budget runs out.
+//! [`Client::connect_tcp_retry`] cluster path report the same pinned
+//! "daemon did not come up within Nms" error when the budget runs out.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};

@@ -19,14 +19,14 @@
 //!   `started`/`obligation_done`/`report` event channel), embedding
 //!   [`commcsl_verifier::report::VerifierReport`]s in the shape of their
 //!   one codec, [`protocol::report_to_json`],
-//! * [`daemon`] — the [`Server`](daemon::Server): per-connection
+//! * [`daemon`] — the [`Server`]: per-connection
 //!   [`Session`](daemon::Session)s (each owning a
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
 //!   obligation-level incremental re-verification) over a Unix domain
 //!   socket or any reader/writer pair (the stdio fallback), all sharing
 //!   one cached [`Verifier`](commcsl_verifier::api::Verifier) and its
 //!   verdict/obligation cache,
-//! * [`client`] — the matching [`Client`](client::Client) (v1 and v2
+//! * [`client`] — the matching [`Client`] (v1 and v2
 //!   methods, streaming included) plus
 //!   [`connect_or_start`](client::connect_or_start), the transparent
 //!   auto-spawn used by `commcsl verify --daemon`.

@@ -118,29 +118,26 @@ impl Solver {
     /// `base` literals are already saturated and asserted into `cc` (the
     /// session's backtrackable per-scope closure — the caller rolls back
     /// the goal-local mutations afterwards), so only the `extra` (goal)
-    /// literals are normalized at the top level. The base literals are
-    /// not copied unless the query survives to the case-split phase.
-    /// Case splits below the top level re-run the full fixpoint per
-    /// branch exactly as [`Solver::refute`] does, with quiescent rounds
-    /// skipped.
+    /// literals are normalized at the top level. Case splits below the top
+    /// level re-run the full fixpoint per branch exactly as
+    /// [`Solver::refute`] does, with quiescent rounds skipped.
     pub(crate) fn refute_seeded(&self, cc: &Congruence, base: &[Term], extra: Vec<Term>) -> bool {
         if self.config.max_branches == 0 {
             return false;
         }
         let branches = Cell::new(1usize);
+        commcsl_telemetry::counter_add("solver.branches", 1);
         let extra = match self.saturate(cc, extra, true) {
             Saturation::Refuted => return true,
             Saturation::Open(lits) => lits,
         };
-        if self.lia_refutes_parts(cc, &[base, &extra]) {
+        let lits = [base, &extra].concat();
+        if self.lia_refutes(cc, &lits) {
             return true;
         }
         if self.config.max_depth == 0 {
             return false;
         }
-        let mut lits = Vec::with_capacity(base.len() + extra.len());
-        lits.extend_from_slice(base);
-        lits.extend(extra);
         self.split(cc, lits, self.config.max_depth, &branches, true)
     }
 
@@ -155,12 +152,7 @@ impl Solver {
             return false;
         }
         branches.set(branches.get() + 1);
-        if std::env::var("COMMCSL_SMT_TRACE").is_ok() {
-            eprintln!("--- branch {} depth {depth}", branches.get());
-            for l in &literals {
-                eprintln!("    {l:?}");
-            }
-        }
+        commcsl_telemetry::counter_add("solver.branches", 1);
 
         let cc = Congruence::new();
         let lits = match self.saturate(&cc, literals, quiescence_skip) {
@@ -257,7 +249,7 @@ impl Solver {
         if let Some((idx, disjuncts)) = find_disjunction(&lits) {
             for d in disjuncts {
                 let mut branch = lits.clone();
-                branch[idx] = d;
+                branch[idx] = d.clone();
                 if !self.refute_rec(branch, depth - 1, branches, quiescence_skip) {
                     return false;
                 }
@@ -334,14 +326,6 @@ impl Solver {
     /// identical. Traversal order is a pure function of the literals, so
     /// both backends run the identical elimination sequence.
     pub(crate) fn lia_refutes(&self, cc: &Congruence, lits: &[Term]) -> bool {
-        self.lia_refutes_parts(cc, &[lits])
-    }
-
-    /// [`Solver::lia_refutes`] over a literal list split into consecutive
-    /// parts (the incremental path passes `[base, goal]` without
-    /// concatenating — constraint and atom order match the concatenation
-    /// exactly).
-    pub(crate) fn lia_refutes_parts(&self, cc: &Congruence, parts: &[&[Term]]) -> bool {
         let mut constraints: Vec<LinConstraint> = Vec::new();
         let mut seen_atoms: Vec<(usize, Term)> = Vec::new();
 
@@ -356,7 +340,7 @@ impl Solver {
             constraints.push(LinConstraint::new(coeffs, constant));
         };
 
-        for lit in parts.iter().flat_map(|part| part.iter()) {
+        for lit in lits {
             match lit {
                 Term::App(Func::Le, args) => {
                     add_le(&args[0], &args[1], 0, &mut constraints, &mut seen_atoms)
@@ -473,13 +457,13 @@ fn split_constructor_eq(a: &Term, b: &Term) -> Option<Vec<(Term, Term)>> {
 fn flatten_literal(lit: Term, out: &mut Vec<Term>) {
     match lit {
         Term::App(Func::And, args) => {
-            for a in args {
-                flatten_literal(a, out);
+            for a in args.iter() {
+                flatten_literal(a.clone(), out);
             }
         }
         Term::App(Func::Not, inner) => match &inner[0] {
             Term::App(Func::Or, args) => {
-                for a in args {
+                for a in args.iter() {
                     flatten_literal(Term::not(a.clone()), out);
                 }
             }
@@ -568,7 +552,7 @@ fn decompose(
     match t {
         Term::Lit(Value::Int(n)) => *constant += scale * (*n as i128),
         Term::App(Func::Add, args) => {
-            for a in args {
+            for a in args.iter() {
                 decompose(a, scale, cc, coeffs, constant, seen);
             }
         }
@@ -627,17 +611,12 @@ fn is_int_like(t: &Term) -> bool {
     }
 }
 
-fn find_disjunction(lits: &[Term]) -> Option<(usize, Vec<Term>)> {
-    let mut best: Option<(usize, Vec<Term>)> = None;
+fn find_disjunction(lits: &[Term]) -> Option<(usize, &[Term])> {
+    let mut best: Option<(usize, &[Term])> = None;
     for (i, lit) in lits.iter().enumerate() {
         if let Term::App(Func::Or, args) = lit {
-            let candidate = (i, args.clone());
-            let better = match &best {
-                None => true,
-                Some((_, prev)) => candidate.1.len() < prev.len(),
-            };
-            if better {
-                best = Some(candidate);
+            if best.is_none_or(|(_, prev)| args.len() < prev.len()) {
+                best = Some((i, args));
             }
         }
     }
@@ -651,7 +630,7 @@ fn find_ite(lits: &[Term]) -> Option<Term> {
             return Some(t.clone());
         }
         if let Term::App(_, args) = t {
-            for a in args {
+            for a in args.iter() {
                 if let Some(found) = walk(a) {
                     return Some(found);
                 }
@@ -675,7 +654,7 @@ fn find_put_key_split(lits: &[Term], cc: &Congruence) -> Option<(Term, Term)> {
             }
         }
         if let Term::App(_, args) = t {
-            for a in args {
+            for a in args.iter() {
                 if let Some(found) = walk(a, cc) {
                     return Some(found);
                 }

@@ -427,10 +427,13 @@ impl VerdictCache {
     /// — every tier is structurally validated, never trusted.
     pub fn get_obligation(&mut self, key: ObligationKey) -> Option<ObligationStatus> {
         let _span = commcsl_telemetry::span!("cache.obligation_get");
-        if self.obligations.contains_key(&key) {
-            self.touch_obligation(key);
+        if let Some((stamp, status)) = self.obligations.get_mut(&key) {
+            self.obligation_lru.remove(stamp);
+            self.obligation_clock += 1;
+            *stamp = self.obligation_clock;
+            self.obligation_lru.insert(self.obligation_clock, key);
             self.stats.obligation_hits += 1;
-            return self.obligations.get(&key).map(|(_, s)| s.clone());
+            return Some(status.clone());
         }
         if let Some(path) = self.obligation_path(key) {
             if let Ok(text) = fs::read_to_string(&path) {
@@ -538,15 +541,6 @@ impl VerdictCache {
                 true
             }
             None => false,
-        }
-    }
-
-    fn touch_obligation(&mut self, key: ObligationKey) {
-        if let Some((stamp, _)) = self.obligations.get_mut(&key) {
-            self.obligation_lru.remove(stamp);
-            self.obligation_clock += 1;
-            *stamp = self.obligation_clock;
-            self.obligation_lru.insert(self.obligation_clock, key);
         }
     }
 

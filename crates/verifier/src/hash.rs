@@ -121,10 +121,13 @@ impl StableHasher {
 
     /// Feeds raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
+        self.state = fnv(self.state, bytes);
+    }
+
+    /// Feeds a precomputed byte string (see [`Fixed`]) in one step.
+    pub(crate) fn feed(&mut self, fixed: &Fixed) {
+        let offset = fixed.offsets[usize::from(self.state as u8)];
+        self.state = self.state.wrapping_mul(fixed.scale).wrapping_add(offset);
     }
 
     /// Feeds a `u32` (little-endian).
@@ -132,14 +135,27 @@ impl StableHasher {
         self.write(&n.to_le_bytes());
     }
 
-    /// Feeds a `u64` (little-endian).
+    /// Feeds a `u64` (little-endian). Lengths and counts are mostly
+    /// small, so values below 16 take one precomputed step.
     pub fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
+        static SMALL: [Fixed; 16] = {
+            let mut small = [Fixed::EMPTY; 16];
+            let mut n = 0;
+            while n < 16 {
+                small[n] = Fixed::EMPTY.then(&(n as u64).to_le_bytes());
+                n += 1;
+            }
+            small
+        };
+        match SMALL.get(n as usize) {
+            Some(fixed) => self.feed(fixed),
+            None => self.write(&n.to_le_bytes()),
+        }
     }
 
     /// Feeds an `i64` (little-endian two's complement).
     pub fn write_i64(&mut self, n: i64) {
-        self.write(&n.to_le_bytes());
+        self.write_u64(n as u64);
     }
 
     /// Feeds a `usize` widened to `u64` so 32- and 64-bit platforms agree.
@@ -156,6 +172,8 @@ impl StableHasher {
     /// Feeds a node tag (a short stable name such as `"term.app"`).
     /// Tags are deliberately strings, not discriminant indices, so
     /// reordering an enum in source never silently changes hashes.
+    /// Literal tags inside this crate go through a table precomputed at
+    /// compile time instead, which feeds the same bytes in one step.
     pub fn tag(&mut self, t: &str) {
         self.write_str(t);
     }
@@ -165,6 +183,81 @@ impl StableHasher {
         ProgramHash(self.state)
     }
 }
+
+/// FNV-1a over `bytes` from `state`.
+const fn fnv(mut state: u128, bytes: &[u8]) -> u128 {
+    let mut i = 0;
+    while i < bytes.len() {
+        state = (state ^ bytes[i] as u128).wrapping_mul(FNV128_PRIME);
+        i += 1;
+    }
+    state
+}
+
+/// A fixed byte string, precomputed so that [`StableHasher::feed`] hashes
+/// it in one multiply and one table lookup. The xor of FNV-1a touches
+/// only the low byte of the state, and the low byte of a product depends
+/// only on the low bytes of its factors, so feeding k fixed bytes maps a
+/// state s to s·P^k + offsets[s mod 256]. Tables are built at compile
+/// time by [`fixed!`].
+#[derive(Debug)]
+pub(crate) struct Fixed {
+    scale: u128,
+    offsets: [u128; 256],
+}
+
+impl Fixed {
+    /// The empty byte string.
+    const EMPTY: Fixed = Fixed {
+        scale: 1,
+        offsets: [0; 256],
+    };
+
+    /// The bytes [`StableHasher::write_str`] feeds for each of `strs`, in
+    /// turn (a tag is one string).
+    pub(crate) const fn strs(strs: &[&str]) -> Fixed {
+        let mut fixed = Fixed::EMPTY;
+        let mut i = 0;
+        while i < strs.len() {
+            fixed = fixed
+                .then(&(strs[i].len() as u64).to_le_bytes())
+                .then(strs[i].as_bytes());
+            i += 1;
+        }
+        fixed
+    }
+
+    /// These bytes followed by `bytes`.
+    const fn then(self, bytes: &[u8]) -> Fixed {
+        let mut scale = self.scale;
+        let mut i = 0;
+        while i < bytes.len() {
+            scale = scale.wrapping_mul(FNV128_PRIME);
+            i += 1;
+        }
+        let mut offsets = [0; 256];
+        let mut r = 0;
+        while r < 256 {
+            let before = (r as u128)
+                .wrapping_mul(self.scale)
+                .wrapping_add(self.offsets[r]);
+            offsets[r] = fnv(before, bytes).wrapping_sub((r as u128).wrapping_mul(scale));
+            r += 1;
+        }
+        Fixed { scale, offsets }
+    }
+}
+
+/// A `&'static` [`Fixed`] for string literals fed as by
+/// [`StableHasher::write_str`], one after another:
+/// `h.feed(fixed!("term.app"))` feeds what `h.tag("term.app")` does.
+macro_rules! fixed {
+    ($($s:literal),+) => {{
+        static FIXED: $crate::hash::Fixed = $crate::hash::Fixed::strs(&[$($s),+]);
+        &FIXED
+    }};
+}
+pub(crate) use fixed;
 
 impl Default for StableHasher {
     fn default() -> Self {
@@ -194,35 +287,35 @@ impl StableHash for Symbol {
 impl StableHash for Sort {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {
-            Sort::Unknown => h.tag("sort.unknown"),
-            Sort::Unit => h.tag("sort.unit"),
-            Sort::Int => h.tag("sort.int"),
-            Sort::Bool => h.tag("sort.bool"),
-            Sort::Str => h.tag("sort.str"),
+            Sort::Unknown => h.feed(fixed!("sort.unknown")),
+            Sort::Unit => h.feed(fixed!("sort.unit")),
+            Sort::Int => h.feed(fixed!("sort.int")),
+            Sort::Bool => h.feed(fixed!("sort.bool")),
+            Sort::Str => h.feed(fixed!("sort.str")),
             Sort::Pair(a, b) => {
-                h.tag("sort.pair");
+                h.feed(fixed!("sort.pair"));
                 a.stable_hash(h);
                 b.stable_hash(h);
             }
             Sort::Either(a, b) => {
-                h.tag("sort.either");
+                h.feed(fixed!("sort.either"));
                 a.stable_hash(h);
                 b.stable_hash(h);
             }
             Sort::Seq(e) => {
-                h.tag("sort.seq");
+                h.feed(fixed!("sort.seq"));
                 e.stable_hash(h);
             }
             Sort::Set(e) => {
-                h.tag("sort.set");
+                h.feed(fixed!("sort.set"));
                 e.stable_hash(h);
             }
             Sort::Multiset(e) => {
-                h.tag("sort.multiset");
+                h.feed(fixed!("sort.multiset"));
                 e.stable_hash(h);
             }
             Sort::Map(k, v) => {
-                h.tag("sort.map");
+                h.feed(fixed!("sort.map"));
                 k.stable_hash(h);
                 v.stable_hash(h);
             }
@@ -233,46 +326,46 @@ impl StableHash for Sort {
 impl StableHash for Value {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {
-            Value::Unit => h.tag("val.unit"),
+            Value::Unit => h.feed(fixed!("val.unit")),
             Value::Int(n) => {
-                h.tag("val.int");
+                h.feed(fixed!("val.int"));
                 h.write_i64(*n);
             }
             Value::Bool(b) => {
-                h.tag("val.bool");
+                h.feed(fixed!("val.bool"));
                 h.write(&[u8::from(*b)]);
             }
             Value::Str(s) => {
-                h.tag("val.str");
+                h.feed(fixed!("val.str"));
                 s.stable_hash(h);
             }
             Value::Pair(a, b) => {
-                h.tag("val.pair");
+                h.feed(fixed!("val.pair"));
                 a.stable_hash(h);
                 b.stable_hash(h);
             }
             Value::Left(v) => {
-                h.tag("val.left");
+                h.feed(fixed!("val.left"));
                 v.stable_hash(h);
             }
             Value::Right(v) => {
-                h.tag("val.right");
+                h.feed(fixed!("val.right"));
                 v.stable_hash(h);
             }
             Value::Seq(xs) => {
-                h.tag("val.seq");
+                h.feed(fixed!("val.seq"));
                 hash_slice(xs, h);
             }
             // Ordered containers iterate deterministically (BTree-backed).
             Value::Set(s) => {
-                h.tag("val.set");
+                h.feed(fixed!("val.set"));
                 h.write_usize(s.len());
                 for v in s {
                     v.stable_hash(h);
                 }
             }
             Value::Multiset(m) => {
-                h.tag("val.multiset");
+                h.feed(fixed!("val.multiset"));
                 h.write_usize(m.iter().count());
                 for (v, n) in m.iter() {
                     v.stable_hash(h);
@@ -280,7 +373,7 @@ impl StableHash for Value {
                 }
             }
             Value::Map(m) => {
-                h.tag("val.map");
+                h.feed(fixed!("val.map"));
                 h.write_usize(m.len());
                 for (k, v) in m {
                     k.stable_hash(h);
@@ -291,86 +384,84 @@ impl StableHash for Value {
     }
 }
 
-impl StableHash for Func {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        let name = match self {
-            Func::Add => "add",
-            Func::Sub => "sub",
-            Func::Mul => "mul",
-            Func::Div => "div",
-            Func::Mod => "mod",
-            Func::Neg => "neg",
-            Func::Max => "max",
-            Func::Min => "min",
-            Func::Eq => "eq",
-            Func::Lt => "lt",
-            Func::Le => "le",
-            Func::Not => "not",
-            Func::And => "and",
-            Func::Or => "or",
-            Func::Implies => "implies",
-            Func::Iff => "iff",
-            Func::Ite => "ite",
-            Func::MkPair => "mkpair",
-            Func::Fst => "fst",
-            Func::Snd => "snd",
-            Func::MkLeft => "mkleft",
-            Func::MkRight => "mkright",
-            Func::IsLeft => "isleft",
-            Func::FromLeft => "fromleft",
-            Func::FromRight => "fromright",
-            Func::SeqAppend => "seqappend",
-            Func::SeqConcat => "seqconcat",
-            Func::SeqLen => "seqlen",
-            Func::SeqIndex => "seqindex",
-            Func::SeqIndexOr => "seqindexor",
-            Func::SeqTail => "seqtail",
-            Func::SeqHeadOr => "seqheador",
-            Func::SeqSum => "seqsum",
-            Func::SeqMean => "seqmean",
-            Func::SeqSorted => "seqsorted",
-            Func::SeqToMultiset => "seqtomultiset",
-            Func::SeqToSet => "seqtoset",
-            Func::SetAdd => "setadd",
-            Func::SetUnion => "setunion",
-            Func::SetCard => "setcard",
-            Func::SetContains => "setcontains",
-            Func::SetToSeq => "settoseq",
-            Func::MsAdd => "msadd",
-            Func::MsUnion => "msunion",
-            Func::MsCard => "mscard",
-            Func::MsContains => "mscontains",
-            Func::MsToSortedSeq => "mstosortedseq",
-            Func::MapPut => "mapput",
-            Func::MapGetOr => "mapgetor",
-            Func::MapDom => "mapdom",
-            Func::MapContains => "mapcontains",
-            Func::MapLen => "maplen",
-            Func::Uninterpreted(sym) => {
-                h.tag("func.uninterpreted");
-                sym.stable_hash(h);
-                return;
-            }
-        };
-        h.tag("func");
-        h.write_str(name);
-    }
+/// Feeds the head of an application of `f`: the `term.app` tag and then
+/// the function, in one [`Fixed`] step for every built-in.
+pub(crate) fn feed_app_head(h: &mut StableHasher, f: &Func) {
+    let fixed = match f {
+        Func::Add => fixed!("term.app", "func", "add"),
+        Func::Sub => fixed!("term.app", "func", "sub"),
+        Func::Mul => fixed!("term.app", "func", "mul"),
+        Func::Div => fixed!("term.app", "func", "div"),
+        Func::Mod => fixed!("term.app", "func", "mod"),
+        Func::Neg => fixed!("term.app", "func", "neg"),
+        Func::Max => fixed!("term.app", "func", "max"),
+        Func::Min => fixed!("term.app", "func", "min"),
+        Func::Eq => fixed!("term.app", "func", "eq"),
+        Func::Lt => fixed!("term.app", "func", "lt"),
+        Func::Le => fixed!("term.app", "func", "le"),
+        Func::Not => fixed!("term.app", "func", "not"),
+        Func::And => fixed!("term.app", "func", "and"),
+        Func::Or => fixed!("term.app", "func", "or"),
+        Func::Implies => fixed!("term.app", "func", "implies"),
+        Func::Iff => fixed!("term.app", "func", "iff"),
+        Func::Ite => fixed!("term.app", "func", "ite"),
+        Func::MkPair => fixed!("term.app", "func", "mkpair"),
+        Func::Fst => fixed!("term.app", "func", "fst"),
+        Func::Snd => fixed!("term.app", "func", "snd"),
+        Func::MkLeft => fixed!("term.app", "func", "mkleft"),
+        Func::MkRight => fixed!("term.app", "func", "mkright"),
+        Func::IsLeft => fixed!("term.app", "func", "isleft"),
+        Func::FromLeft => fixed!("term.app", "func", "fromleft"),
+        Func::FromRight => fixed!("term.app", "func", "fromright"),
+        Func::SeqAppend => fixed!("term.app", "func", "seqappend"),
+        Func::SeqConcat => fixed!("term.app", "func", "seqconcat"),
+        Func::SeqLen => fixed!("term.app", "func", "seqlen"),
+        Func::SeqIndex => fixed!("term.app", "func", "seqindex"),
+        Func::SeqIndexOr => fixed!("term.app", "func", "seqindexor"),
+        Func::SeqTail => fixed!("term.app", "func", "seqtail"),
+        Func::SeqHeadOr => fixed!("term.app", "func", "seqheador"),
+        Func::SeqSum => fixed!("term.app", "func", "seqsum"),
+        Func::SeqMean => fixed!("term.app", "func", "seqmean"),
+        Func::SeqSorted => fixed!("term.app", "func", "seqsorted"),
+        Func::SeqToMultiset => fixed!("term.app", "func", "seqtomultiset"),
+        Func::SeqToSet => fixed!("term.app", "func", "seqtoset"),
+        Func::SetAdd => fixed!("term.app", "func", "setadd"),
+        Func::SetUnion => fixed!("term.app", "func", "setunion"),
+        Func::SetCard => fixed!("term.app", "func", "setcard"),
+        Func::SetContains => fixed!("term.app", "func", "setcontains"),
+        Func::SetToSeq => fixed!("term.app", "func", "settoseq"),
+        Func::MsAdd => fixed!("term.app", "func", "msadd"),
+        Func::MsUnion => fixed!("term.app", "func", "msunion"),
+        Func::MsCard => fixed!("term.app", "func", "mscard"),
+        Func::MsContains => fixed!("term.app", "func", "mscontains"),
+        Func::MsToSortedSeq => fixed!("term.app", "func", "mstosortedseq"),
+        Func::MapPut => fixed!("term.app", "func", "mapput"),
+        Func::MapGetOr => fixed!("term.app", "func", "mapgetor"),
+        Func::MapDom => fixed!("term.app", "func", "mapdom"),
+        Func::MapContains => fixed!("term.app", "func", "mapcontains"),
+        Func::MapLen => fixed!("term.app", "func", "maplen"),
+        Func::Uninterpreted(sym) => {
+            h.feed(fixed!("term.app", "func.uninterpreted"));
+            sym.stable_hash(h);
+            return;
+        }
+    };
+    h.feed(fixed);
 }
 
 impl StableHash for Term {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {
             Term::Var(x) => {
-                h.tag("term.var");
+                h.feed(fixed!("term.var"));
                 x.stable_hash(h);
             }
             Term::Lit(v) => {
-                h.tag("term.lit");
+                h.feed(fixed!("term.lit"));
                 v.stable_hash(h);
             }
             Term::App(f, args) => {
-                h.tag("term.app");
-                f.stable_hash(h);
+                feed_app_head(h, f);
                 hash_slice(args, h);
             }
         }
@@ -379,16 +470,16 @@ impl StableHash for Term {
 
 impl StableHash for ActionKind {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag(match self {
-            ActionKind::Shared => "action.shared",
-            ActionKind::Unique => "action.unique",
+        h.feed(match self {
+            ActionKind::Shared => fixed!("action.shared"),
+            ActionKind::Unique => fixed!("action.unique"),
         });
     }
 }
 
 impl StableHash for ActionDef {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag("actiondef");
+        h.feed(fixed!("actiondef"));
         self.name.stable_hash(h);
         self.kind.stable_hash(h);
         self.arg_sort.stable_hash(h);
@@ -399,7 +490,7 @@ impl StableHash for ActionDef {
 
 impl StableHash for ResourceSpec {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag("resourcespec");
+        h.feed(fixed!("resourcespec"));
         self.name.stable_hash(h);
         self.value_sort.stable_hash(h);
         self.alpha.stable_hash(h);
@@ -411,78 +502,78 @@ impl StableHash for VStmt {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {
             VStmt::Input { var, sort, low } => {
-                h.tag("stmt.input");
+                h.feed(fixed!("stmt.input"));
                 var.stable_hash(h);
                 sort.stable_hash(h);
                 h.write(&[u8::from(*low)]);
             }
             VStmt::Assign(var, e) => {
-                h.tag("stmt.assign");
+                h.feed(fixed!("stmt.assign"));
                 var.stable_hash(h);
                 e.stable_hash(h);
             }
             VStmt::If { cond, then_b, else_b } => {
-                h.tag("stmt.if");
+                h.feed(fixed!("stmt.if"));
                 cond.stable_hash(h);
                 hash_slice(then_b, h);
                 hash_slice(else_b, h);
             }
             VStmt::For { var, from, to, body } => {
-                h.tag("stmt.for");
+                h.feed(fixed!("stmt.for"));
                 var.stable_hash(h);
                 from.stable_hash(h);
                 to.stable_hash(h);
                 hash_slice(body, h);
             }
             VStmt::Share { resource, init } => {
-                h.tag("stmt.share");
+                h.feed(fixed!("stmt.share"));
                 h.write_usize(*resource);
                 init.stable_hash(h);
             }
             VStmt::Par { workers } => {
-                h.tag("stmt.par");
+                h.feed(fixed!("stmt.par"));
                 h.write_usize(workers.len());
                 for w in workers {
                     hash_slice(w, h);
                 }
             }
             VStmt::Atomic { resource, action, arg } => {
-                h.tag("stmt.atomic");
+                h.feed(fixed!("stmt.atomic"));
                 h.write_usize(*resource);
                 action.stable_hash(h);
                 arg.stable_hash(h);
             }
             VStmt::AtomicBatch { resource, action, arg, count } => {
-                h.tag("stmt.atomicbatch");
+                h.feed(fixed!("stmt.atomicbatch"));
                 h.write_usize(*resource);
                 action.stable_hash(h);
                 arg.stable_hash(h);
                 count.stable_hash(h);
             }
             VStmt::ConsumeBind { resource, action, var, index } => {
-                h.tag("stmt.consumebind");
+                h.feed(fixed!("stmt.consumebind"));
                 h.write_usize(*resource);
                 action.stable_hash(h);
                 var.stable_hash(h);
                 index.stable_hash(h);
             }
             VStmt::AtomicDeferred { resource, action, arg } => {
-                h.tag("stmt.atomicdeferred");
+                h.feed(fixed!("stmt.atomicdeferred"));
                 h.write_usize(*resource);
                 action.stable_hash(h);
                 arg.stable_hash(h);
             }
             VStmt::Unshare { resource, into } => {
-                h.tag("stmt.unshare");
+                h.feed(fixed!("stmt.unshare"));
                 h.write_usize(*resource);
                 into.stable_hash(h);
             }
             VStmt::AssertLow(e) => {
-                h.tag("stmt.assertlow");
+                h.feed(fixed!("stmt.assertlow"));
                 e.stable_hash(h);
             }
             VStmt::Output(e) => {
-                h.tag("stmt.output");
+                h.feed(fixed!("stmt.output"));
                 e.stable_hash(h);
             }
         }
@@ -491,7 +582,7 @@ impl StableHash for VStmt {
 
 impl StableHash for AnnotatedProgram {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag("program");
+        h.feed(fixed!("program"));
         h.write_str(&self.name);
         hash_slice(&self.resources, h);
         hash_slice(&self.body, h);
@@ -499,7 +590,7 @@ impl StableHash for AnnotatedProgram {
         // so they address the verdict even though program *equality*
         // ignores them: a reformatted source must not replay a cached
         // report carrying the old positions.
-        h.tag("spans");
+        h.feed(fixed!("spans"));
         h.write_usize(self.spans.len());
         for (path, span) in &self.spans {
             h.write_usize(path.len());
@@ -514,7 +605,7 @@ impl StableHash for AnnotatedProgram {
 
 impl StableHash for VerifierConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag("config");
+        h.feed(fixed!("config"));
         // Every budget knob that can change a verdict (a bigger budget can
         // flip Failed("unknown") to Proved) is part of the key.
         for solver in [&self.solver, &self.validity.solver] {
@@ -537,17 +628,17 @@ impl StableHash for VerifierConfig {
         // verdict-identical on the corpus, but the cache must never bet on
         // that — a backend (or counterexample-search) change is always a
         // different address, a miss, never a stale verdict.
-        h.tag("backend");
+        h.feed(fixed!("backend"));
         h.write_str(self.backend.name());
-        h.tag("validity-backend");
+        h.feed(fixed!("validity-backend"));
         h.write_str(self.validity.backend.name());
-        h.tag("counterexamples");
+        h.feed(fixed!("counterexamples"));
         h.write(&[u8::from(self.counterexamples)]);
-        h.tag("static-prepass");
+        h.feed(fixed!("static-prepass"));
         h.write(&[u8::from(self.static_prepass)]);
-        h.tag("minimize-counterexamples");
+        h.feed(fixed!("minimize-counterexamples"));
         h.write(&[u8::from(self.minimize_counterexamples)]);
-        h.tag("proof-cores");
+        h.feed(fixed!("proof-cores"));
         h.write(&[u8::from(self.proof_cores)]);
     }
 }
@@ -650,6 +741,37 @@ mod tests {
         let spanned = sample().with_span(vec![0], crate::diag::SourceSpan::new(1, 1));
         assert_eq!(spanned, sample(), "equality ignores spans");
         assert_ne!(program_hash(&spanned, &config), base, "hash does not");
+    }
+
+    #[test]
+    fn fixed_feeds_hash_the_same_bytes_in_one_step() {
+        // From states whose low bytes cover all 256 residues.
+        let states =
+            (0..=255u128).map(|r| r.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834) ^ r);
+        for state in states {
+            let bytewise = |feed: &dyn Fn(&mut StableHasher)| {
+                let mut h = StableHasher { state };
+                feed(&mut h);
+                h.state
+            };
+            assert_eq!(
+                bytewise(&|h| h.feed(fixed!("term.app"))),
+                bytewise(&|h| h.write_str("term.app"))
+            );
+            assert_eq!(
+                bytewise(&|h| h.feed(fixed!("func", "seqsum"))),
+                bytewise(&|h| {
+                    h.write_str("func");
+                    h.write_str("seqsum");
+                })
+            );
+            for n in [0u64, 1, 3, 15, 16, 1 << 40] {
+                assert_eq!(
+                    bytewise(&|h| h.write_u64(n)),
+                    bytewise(&|h| h.write(&n.to_le_bytes()))
+                );
+            }
+        }
     }
 
     #[test]

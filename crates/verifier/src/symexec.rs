@@ -39,12 +39,12 @@ use std::time::{Duration, Instant};
 use commcsl_analysis::prepass::goal_statically_valid;
 use commcsl_logic::spec::{ActionKind, ResourceSpec};
 use commcsl_logic::validity::check_validity;
-use commcsl_pure::{Sort, Symbol, Term};
+use commcsl_pure::{Func, Sort, Symbol, Term};
 use commcsl_smt::falsify::find_counterexample;
 use commcsl_smt::{assumption_core, SessionStats, SolverSession, Verdict};
 
 use crate::diag::{Counterexample, DiagnosticCode, Failure, SourceSpan};
-use crate::hash::{StableHash, StableHasher};
+use crate::hash::{feed_app_head, fixed, StableHash, StableHasher};
 use crate::minimize::minimize_counterexample;
 use crate::obligation::{
     DischargeStats, ObligationEvent, ObligationKey, ObligationStore, ObligationVerdict,
@@ -306,7 +306,7 @@ impl<'b> CachedState<'b> {
         sink: &'b mut dyn FnMut(&ObligationEvent<'_>),
     ) -> Self {
         let mut root = StableHasher::new();
-        root.tag("obligation-ctx");
+        root.feed(fixed!("obligation-ctx"));
         config.stable_hash(&mut root);
         CachedState {
             store,
@@ -319,6 +319,16 @@ impl<'b> CachedState<'b> {
         }
     }
 
+    /// The dependency-cone key of a path obligation: the live-context
+    /// digest (config, scoped facts, batch boundaries) plus the goal, fed
+    /// by `feed_goal` with the sorts steering its falsification.
+    fn goal_key(&self, feed_goal: impl FnOnce(&mut StableHasher)) -> ObligationKey {
+        let mut h = self.ctx.last().expect("root context").clone();
+        h.feed(fixed!("goal"));
+        feed_goal(&mut h);
+        ObligationKey::from_hasher(&h)
+    }
+
     /// The current context digest (top of the scope stack).
     fn top(&mut self) -> &mut StableHasher {
         self.ctx.last_mut().expect("root context never pops")
@@ -329,29 +339,53 @@ impl<'b> CachedState<'b> {
 /// annotating every variable occurrence with its registered sort (the
 /// falsifier's steering inputs). Equivalent to hashing the term and its
 /// free-variable sort map, without materializing the variable set.
-fn feed_term(h: &mut StableHasher, term: &Term, var_sorts: &BTreeMap<Symbol, Sort>) {
+/// Variables that `subst` maps to a term are fed as that term, so a
+/// substitution instance is hashed without being built.
+fn feed_term<'t>(
+    h: &mut StableHasher,
+    term: &Term,
+    var_sorts: &BTreeMap<Symbol, Sort>,
+    subst: &dyn Fn(&Symbol) -> Option<&'t Term>,
+) {
     match term {
         Term::Var(x) => {
-            h.tag("term.var");
+            if let Some(replacement) = subst(x) {
+                return feed_term(h, replacement, var_sorts, &|_| None);
+            }
+            h.feed(fixed!("term.var"));
             x.stable_hash(h);
             match var_sorts.get(x) {
                 Some(sort) => sort.stable_hash(h),
-                None => h.tag("sort.absent"),
+                None => h.feed(fixed!("sort.absent")),
             }
         }
         Term::Lit(v) => {
-            h.tag("term.lit");
+            h.feed(fixed!("term.lit"));
             v.stable_hash(h);
         }
         Term::App(f, args) => {
-            h.tag("term.app");
-            f.stable_hash(h);
+            feed_app_head(h, f);
             h.write_usize(args.len());
-            for arg in args {
-                feed_term(h, arg, var_sorts);
+            for arg in args.iter() {
+                feed_term(h, arg, var_sorts, subst);
             }
         }
     }
+}
+
+/// Feeds `e1 = e2`, the goal of `Low(e)`, without building it: `e` is fed
+/// once per side with its program variables read from that side of
+/// `store` (every variable of `e` must be bound there).
+fn feed_low_goal(
+    h: &mut StableHasher,
+    e: &Term,
+    store: &BTreeMap<Symbol, (Term, Term)>,
+    var_sorts: &BTreeMap<Symbol, Sort>,
+) {
+    feed_app_head(h, &Func::Eq);
+    h.write_usize(2);
+    feed_term(h, e, var_sorts, &|x| store.get(x).map(|pair| &pair.0));
+    feed_term(h, e, var_sorts, &|x| store.get(x).map(|pair| &pair.1));
 }
 
 /// How obligations are settled: directly (cold), or against an
@@ -526,8 +560,8 @@ impl<'a, 'b> Exec<'a, 'b> {
             Discharge::Direct => self.session.assert(fact),
             Discharge::Cached(state) => {
                 let top = state.ctx.last_mut().expect("root context");
-                top.tag("assert");
-                feed_term(top, &fact, &self.var_sorts);
+                top.feed(fixed!("assert"));
+                feed_term(top, &fact, &self.var_sorts, &|_| None);
                 state.pending.push(PendingOp::Assert(fact));
             }
         }
@@ -539,7 +573,7 @@ impl<'a, 'b> Exec<'a, 'b> {
             Discharge::Direct => self.session.push(),
             Discharge::Cached(state) => {
                 let mut child = state.ctx.last().expect("root context").clone();
-                child.tag("push");
+                child.feed(fixed!("push"));
                 state.ctx.push(child);
                 state.pending_marks.push((state.replays, state.pending.len()));
                 state.pending.push(PendingOp::Push);
@@ -589,24 +623,20 @@ impl<'a, 'b> Exec<'a, 'b> {
 
     /// Evaluates a program expression to its per-side symbolic terms.
     fn eval(&mut self, e: &Term) -> (Term, Term) {
-        let mut bind1 = BTreeMap::new();
-        let mut bind2 = BTreeMap::new();
+        let mut unbound = BTreeMap::new();
         for x in e.free_vars() {
-            match self.store.get(&x) {
-                Some((t1, t2)) => {
-                    bind1.insert(x.clone(), t1.clone());
-                    bind2.insert(x.clone(), t2.clone());
-                }
-                None => {
-                    self.errors
-                        .push(format!("use of unbound program variable `{x}`"));
-                    let (t1, t2) = self.fresh_high(x.as_str(), Sort::Unknown);
-                    bind1.insert(x.clone(), t1);
-                    bind2.insert(x.clone(), t2);
-                }
+            if !self.store.contains_key(&x) {
+                self.errors
+                    .push(format!("use of unbound program variable `{x}`"));
+                let pair = self.fresh_high(x.as_str(), Sort::Unknown);
+                unbound.insert(x, pair);
             }
         }
-        (e.subst(&bind1), e.subst(&bind2))
+        let store = &self.store;
+        let side = |pick: fn(&(Term, Term)) -> &Term| {
+            e.subst_with(&|x| store.get(x).or_else(|| unbound.get(x)).map(pick).cloned())
+        };
+        (side(|pair| &pair.0), side(|pair| &pair.1))
     }
 
     fn prove(&mut self, description: impl Into<String>, code: DiagnosticCode, goal: Term) {
@@ -655,13 +685,7 @@ impl<'a, 'b> Exec<'a, 'b> {
                 });
             }
             Discharge::Cached(state) => {
-                // The dependency-cone key: the live-context digest (config,
-                // scoped facts, batch boundaries) plus the goal and the
-                // sorts steering its falsification.
-                let mut h = state.ctx.last().expect("root context").clone();
-                h.tag("goal");
-                feed_term(&mut h, &goal, &self.var_sorts);
-                let key = ObligationKey::from_hasher(&h);
+                let key = state.goal_key(|h| feed_term(h, &goal, &self.var_sorts, &|_| None));
                 let meta = ObligationMeta {
                     description,
                     code,
@@ -771,7 +795,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         if session_backed {
             // Whether skipped or checked, the obligation is a batch
             // boundary for everything after it.
-            state.top().tag("flush");
+            state.top().feed(fixed!("flush"));
         }
         state.stats.record(verdict);
         let core = matches!(status, ObligationStatus::Proved)
@@ -862,9 +886,45 @@ impl<'a, 'b> Exec<'a, 'b> {
         )
     }
 
-    fn prove_low(&mut self, description: impl Into<String>, code: DiagnosticCode, e: &Term) {
-        let (e1, e2) = self.eval(e);
-        self.prove(description, code, Term::eq(e1, e2));
+    /// Proves `Low(e)`, i.e. `e1 = e2` over the two sides' values. In the
+    /// incremental regime a store hit needs only the goal's key, so when
+    /// every variable of `e` is bound the goal is hashed straight from `e`
+    /// and the store, and built only on a miss.
+    fn prove_low(&mut self, description: String, code: DiagnosticCode, e: &Term) {
+        let lazy = !self.config.proof_cores
+            && matches!(self.discharge, Discharge::Cached(_))
+            && e.free_vars().iter().all(|x| self.store.contains_key(x));
+        if !lazy {
+            let (e1, e2) = self.eval(e);
+            return self.prove(description, code, Term::eq(e1, e2));
+        }
+        let Discharge::Cached(state) = std::mem::replace(&mut self.discharge, Discharge::Direct)
+        else {
+            unreachable!("checked above")
+        };
+        let key = state.goal_key(|h| feed_low_goal(h, e, &self.store, &self.var_sorts));
+        let meta = ObligationMeta {
+            description,
+            code,
+            span: self.program.span_at(&self.path),
+            path: self.path.clone(),
+        };
+        let goal = |exec: &mut Self| {
+            let (e1, e2) = exec.eval(e);
+            Term::eq(e1, e2)
+        };
+        self.settle_cached(
+            state,
+            key,
+            meta,
+            None,
+            true,
+            |exec| exec.config.static_prepass && goal_statically_valid(&goal(exec)),
+            |exec| {
+                let goal = goal(exec);
+                exec.direct_status(&goal)
+            },
+        );
     }
 
     /// The per-side repetition count of an action performed at the current
@@ -1166,7 +1226,7 @@ impl<'a, 'b> Exec<'a, 'b> {
                 // same spec shared from anywhere (any document, any edit)
                 // replays one cached status.
                 let mut h = StableHasher::new();
-                h.tag("obligation.spec-validity");
+                h.feed(fixed!("obligation.spec-validity"));
                 spec.stable_hash(&mut h);
                 self.config.stable_hash(&mut h);
                 let key = ObligationKey::from_hasher(&h);
@@ -1297,12 +1357,13 @@ impl<'a, 'b> Exec<'a, 'b> {
         batch_count: Option<(Term, Term)>,
         defer_pre: bool,
     ) {
-        let Some(spec) = self.program.resources.get(resource) else {
+        let program = self.program;
+        let Some(spec) = program.resources.get(resource) else {
             self.errors
                 .push(format!("atomic on unknown resource {resource}"));
             return;
         };
-        let Some(act) = spec.action(action.as_str()).cloned() else {
+        let Some(act) = spec.action(action.as_str()) else {
             self.errors.push(format!(
                 "action `{action}` is not declared by resource `{}`",
                 spec.name
@@ -1498,6 +1559,32 @@ mod tests {
                     VStmt::AssertLow(Term::int(0))
                 },
             ])
+    }
+
+    #[test]
+    fn low_goals_hash_the_same_unbuilt_as_built() {
+        let e = Term::add(
+            Term::app(Func::SetCard, [Term::app(Func::MapDom, [Term::var("m")])]),
+            Term::var("k"),
+        );
+        let store: BTreeMap<Symbol, (Term, Term)> = [
+            ("m".into(), (Term::var("m@1"), Term::var("m@2"))),
+            ("k".into(), (Term::var("k0"), Term::var("k0"))),
+        ]
+        .into();
+        let var_sorts: BTreeMap<Symbol, Sort> = [
+            ("m@1".into(), Sort::map(Sort::Int, Sort::Int)),
+            ("k0".into(), Sort::Int),
+        ]
+        .into();
+        let mut unbuilt = StableHasher::new();
+        feed_low_goal(&mut unbuilt, &e, &store, &var_sorts);
+        let side =
+            |pick: fn(&(Term, Term)) -> &Term| e.subst_with(&|x| store.get(x).map(pick).cloned());
+        let goal = Term::eq(side(|pair| &pair.0), side(|pair| &pair.1));
+        let mut built = StableHasher::new();
+        feed_term(&mut built, &goal, &var_sorts, &|_| None);
+        assert_eq!(unbuilt.finish(), built.finish());
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //!   request id, event-log sequence numbers strictly increasing.
 //!
 //! Run with `cargo run -p commcsl-bench --release --bin loadgen --
-//! [--clients N] [--requests N] [--threads N] [--tcp] [--shards N]
-//! [--deterministic] [--min-rps X] [--max-p99-ms X] [--json <path>]
-//! [--hist-out <path>]`. `--tcp` drives the load over TCP loopback
-//! instead of a Unix socket; `--shards N` puts a consistent-hash pool
-//! of N shared-nothing verifier shards behind the endpoint (implies
-//! `--tcp`). Either flag renames the snapshot to `loadgen_tcp`.
+//! [--clients N] [--requests N] [--threads N] [--tcp] [--deterministic]
+//! [--min-rps X] [--max-p99-ms X] [--json <path>] [--hist-out <path>]`.
+//! `--tcp` drives the load over TCP loopback instead of a Unix socket
+//! and renames the snapshot to `loadgen_tcp`.
 //! With `--json`, one `loadgen` snapshot line is appended to the
 //! trajectory file (conventionally `BENCH_table1.json`). With
 //! `--hist-out`, the canonical client-side histogram JSON is written to
@@ -46,11 +44,7 @@ fn main() {
         config.clients,
         config.requests_per_client,
         config.threads,
-        if config.tcp || config.shards > 1 {
-            format!("tcp x {} shard(s)", config.shards.max(1))
-        } else {
-            "unix socket".to_owned()
-        },
+        if config.tcp { "tcp" } else { "unix socket" },
         if config.deterministic {
             ", deterministic durations"
         } else {
@@ -190,14 +184,6 @@ fn parse_args() -> Args {
             }
             "--deterministic" => config.deterministic = true,
             "--tcp" => config.tcp = true,
-            "--shards" => {
-                config.shards = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards needs a positive integer"));
-                if config.shards == 0 {
-                    die("--shards needs a positive integer");
-                }
-            }
             "--min-rps" => {
                 min_rps = value("--min-rps")
                     .parse()
@@ -212,7 +198,7 @@ fn parse_args() -> Args {
             "--hist-out" => hist_out = Some(value("--hist-out")),
             other => die(&format!(
                 "unknown option `{other}` (try --clients N, --requests N, \
-                 --threads N, --tcp, --shards N, --deterministic, \
+                 --threads N, --tcp, --deterministic, \
                  --min-rps X, --max-p99-ms X, --json PATH, --hist-out PATH)"
             )),
         }

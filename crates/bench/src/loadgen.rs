@@ -19,10 +19,8 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use commcsl::cluster::ShardPool;
 use commcsl::server::client::Client;
 use commcsl::server::daemon::{Server, ServerConfig};
 use commcsl::server::json::Json;
@@ -43,12 +41,9 @@ pub struct LoadgenConfig {
     pub threads: usize,
     /// Record synthetic, reproducible durations instead of wall time.
     pub deterministic: bool,
-    /// Drive the load over TCP loopback instead of a Unix socket
-    /// (implied by `shards > 1`; the snapshot is named `loadgen_tcp`).
+    /// Drive the load over TCP loopback instead of a Unix socket (the
+    /// snapshot is then named `loadgen_tcp`).
     pub tcp: bool,
-    /// Verifier shards behind the endpoint: 1 = a plain daemon, N > 1 =
-    /// a consistent-hash [`ShardPool`] (TCP only).
-    pub shards: usize,
 }
 
 impl Default for LoadgenConfig {
@@ -59,7 +54,6 @@ impl Default for LoadgenConfig {
             threads: 0,
             deterministic: false,
             tcp: false,
-            shards: 1,
         }
     }
 }
@@ -234,27 +228,16 @@ pub fn loadgen_run(config: &LoadgenConfig) -> LoadgenRun {
     use std::collections::BTreeMap;
     use std::sync::Mutex;
 
-    let tcp = config.tcp || config.shards > 1;
-    let shards = config.shards.max(1);
-    let make_server = || {
-        Server::new(
-            ServerConfig {
-                threads: config.threads,
-                cache: CacheConfig::memory_only(4096),
-                verifier: VerifierConfig::default(),
-                ..Default::default()
-            },
-            Box::new(loadgen_compile),
-        )
-    };
-    // One plain daemon, or a consistent-hash pool of shared-nothing
-    // shards behind one TCP endpoint — the wire traffic is identical.
-    let (single, pool) = if shards == 1 {
-        (Some(make_server()), None)
-    } else {
-        let servers = (0..shards).map(|_| Arc::new(make_server())).collect();
-        (None, Some(ShardPool::new(servers)))
-    };
+    let tcp = config.tcp;
+    let server = Server::new(
+        ServerConfig {
+            threads: config.threads,
+            cache: CacheConfig::memory_only(4096),
+            verifier: VerifierConfig::default(),
+            ..Default::default()
+        },
+        Box::new(loadgen_compile),
+    );
     let socket = (!tcp).then(socket_path);
     if let Some(sock) = &socket {
         let _ = std::fs::remove_file(sock);
@@ -280,18 +263,10 @@ pub fn loadgen_run(config: &LoadgenConfig) -> LoadgenRun {
     let verify_failures = AtomicU64::new(0);
     let missing_request_ids = AtomicU64::new(0);
 
-    struct StopOnDrop<'a> {
-        single: Option<&'a Server>,
-        pool: Option<&'a ShardPool>,
-    }
+    struct StopOnDrop<'a>(&'a Server);
     impl Drop for StopOnDrop<'_> {
         fn drop(&mut self) {
-            if let Some(server) = self.single {
-                server.request_shutdown();
-            }
-            if let Some(pool) = self.pool {
-                pool.request_shutdown();
-            }
+            self.0.request_shutdown();
         }
     }
 
@@ -302,15 +277,11 @@ pub fn loadgen_run(config: &LoadgenConfig) -> LoadgenRun {
     let mut seqs_strictly_increasing = true;
 
     std::thread::scope(|scope| {
-        let _stop = StopOnDrop {
-            single: single.as_ref(),
-            pool: pool.as_ref(),
-        };
-        scope.spawn(|| match (&single, &pool, &listener, &socket) {
-            (Some(server), _, Some(listener), _) => server.serve_tcp(listener),
-            (Some(server), _, None, Some(sock)) => server.serve_unix(sock),
-            (None, Some(pool), Some(listener), _) => pool.serve_tcp(listener),
-            _ => unreachable!("loadgen has an endpoint"),
+        let _stop = StopOnDrop(&server);
+        scope.spawn(|| match (&listener, &socket) {
+            (Some(listener), _) => server.serve_tcp(listener),
+            (None, Some(sock)) => server.serve_unix(sock),
+            (None, None) => unreachable!("loadgen has an endpoint"),
         });
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
         while connect().is_err() {
@@ -493,21 +464,20 @@ pub fn loadgen_json(run: &LoadgenRun, config: &LoadgenConfig) -> String {
             )
         })
         .collect();
-    let bench = if config.tcp || config.shards > 1 {
+    let bench = if config.tcp {
         "loadgen_tcp"
     } else {
         "loadgen"
     };
     format!(
         "{{\"bench\":\"{bench}\",\"clients\":{},\"requests\":{},\
-         \"threads\":{},\"shards\":{},\"deterministic\":{},\"wall_ms\":{:.6},\
+         \"threads\":{},\"deterministic\":{},\"wall_ms\":{:.6},\
          \"throughput_rps\":{:.3},\"verify_failures\":{},\
          \"events\":{},\"events_dropped\":{},\"seqs_increasing\":{},\
          \"request_ids\":{},\"ops\":[{}]}}",
         run.clients,
         run.requests,
         config.threads,
-        config.shards.max(1),
         config.deterministic,
         run.wall_ms,
         run.throughput_rps(),

@@ -26,21 +26,21 @@ fn deterministic_runs_produce_byte_identical_histogram_json() {
         "deterministic histogram JSON must be byte-identical"
     );
 
-    // The same deterministic workload over TCP through a 2-shard pool:
-    // synthetic durations are a fixed function of (client, op, ordinal),
-    // so transport and sharding must not change a byte of the JSON —
-    // and every verdict must stay as expected.
-    let sharded = loadgen_run(&LoadgenConfig {
-        shards: 2,
+    // The same deterministic workload over TCP: synthetic durations are
+    // a fixed function of (client, op, ordinal), so the transport must
+    // not change a byte of the JSON — and every verdict must stay as
+    // expected.
+    let tcp = loadgen_run(&LoadgenConfig {
+        tcp: true,
         ..config.clone()
     });
     assert_eq!(
-        first.histogram_json, sharded.histogram_json,
-        "a TCP shard pool must not change the deterministic histogram"
+        first.histogram_json, tcp.histogram_json,
+        "the TCP transport must not change the deterministic histogram"
     );
-    assert_eq!(sharded.verify_failures, 0);
-    assert!(sharded.request_ids_present);
-    assert!(sharded.seqs_strictly_increasing);
+    assert_eq!(tcp.verify_failures, 0);
+    assert!(tcp.request_ids_present);
+    assert!(tcp.seqs_strictly_increasing);
 
     // The load actually went through the daemon: its own histograms
     // counted every request, its event log retained them in order, and

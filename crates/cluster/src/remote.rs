@@ -1,7 +1,7 @@
 //! The remote obligation-cache tier, as a protocol client.
 //!
-//! [`RemoteCacheClient`] plugs a *remote daemon* (plain or sharded —
-//! the wire is identical) in behind a local [`VerdictCache`]'s memory
+//! [`RemoteCacheClient`] plugs a *remote daemon* (any `commcsl serve
+//! --tcp` endpoint) in behind a local [`VerdictCache`]'s memory
 //! and disk tiers via [`RemoteObligationTier`]. The transport is the
 //! same NDJSON protocol, ops `cache_get`/`cache_put`, exchanging the
 //! self-validating entry text — the local cache re-validates every

@@ -20,7 +20,7 @@
 //! | [`analysis`] | `commcsl-analysis` | dataflow framework, low-ness pre-pass, lint engine |
 //! | [`verifier`] | `commcsl-verifier` | the HyperViper-style automated verifier |
 //! | [`server`] | `commcsl-server` | the persistent verification daemon and its client |
-//! | [`cluster`] | `commcsl-cluster` | TCP shard pool, consistent-hash router, remote obligation cache |
+//! | [`cluster`] | `commcsl-cluster` | the remote obligation-cache tier (`cache_get`/`cache_put` client) |
 //! | [`lsp`] | `commcsl-lsp` | the editor language server (JSON-RPC over stdio, diagnostics, hover, progress) |
 //! | [`fixtures`] | `commcsl-fixtures` | the 18 evaluation examples of Table 1 |
 //! | [`front`] | `commcsl-front` | the `.csl` surface language, lowering, pretty-printer, and `commcsl` CLI |

@@ -9,8 +9,8 @@
 //!                 [--trace-out F] [--folded-out F] [--deterministic] PATH...
 //! commcsl watch  [--json] [--interval MS] [--once]
 //!                [--backend fresh|incremental] [--cache-dir DIR] PATH...
-//! commcsl serve  [--socket PATH | --tcp ADDR] [--shards N]
-//!                [--remote-cache ADDR] [--cache-dir DIR] [--threads N] [--stdio]
+//! commcsl serve  [--socket PATH | --tcp ADDR] [--remote-cache ADDR]
+//!                [--cache-dir DIR] [--threads N] [--stdio]
 //! commcsl lsp    [--stdio] [--backend fresh|incremental] [--cache-dir DIR]
 //!                [--no-minimize] [--no-hints]
 //! commcsl daemon status|metrics|stop [--socket PATH | --tcp ADDR] [--json]
@@ -63,10 +63,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use std::sync::Arc;
-
 use commcsl_analysis::lint::{lint_fields, lint_program, Lint, Severity};
-use commcsl_cluster::{RemoteCacheClient, ShardPool};
+use commcsl_cluster::RemoteCacheClient;
 use commcsl_server::client::{connect_or_start, Client};
 use commcsl_server::daemon::{Server, ServerConfig};
 use commcsl_server::protocol::{StatusInfo, VerifyItem};
@@ -193,9 +191,6 @@ options (serve):
   --tcp ADDR                   listen on host:port instead of the Unix
                                socket (port 0 picks a free port; the
                                readiness line names the actual address)
-  --shards N                   with --tcp: run N shared-nothing verifier
-                               shards behind one consistent-hash router
-                               (each shard caches under <cache-dir>/shardI)
   --remote-cache ADDR          chain a remote daemon's obligation cache
                                behind memory and disk (cache_get/cache_put)
   --memory N                   in-memory cache capacity (default 4096)
@@ -1575,7 +1570,6 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
     let mut threads = 0usize;
     let mut memory = 4096usize;
     let mut stdio = false;
-    let mut shards = 1usize;
     let mut remote_cache: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -1599,13 +1593,6 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
                     return EXIT_ERROR;
                 }
             },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    let _ = writeln!(out, "commcsl: --shards needs a number >= 1");
-                    return EXIT_ERROR;
-                }
-            },
             "--remote-cache" => match it.next() {
                 Some(addr) => remote_cache = Some(addr.clone()),
                 None => {
@@ -1620,39 +1607,30 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
             }
         }
     }
-    if shards > 1 && locations.tcp.is_none() {
-        let _ = writeln!(out, "commcsl: --shards needs --tcp (shard pools listen on TCP)");
-        return EXIT_ERROR;
-    }
-    if stdio && (locations.tcp.is_some() || shards > 1) {
-        let _ = writeln!(out, "commcsl: --stdio cannot be combined with --tcp/--shards");
+    if stdio && locations.tcp.is_some() {
+        let _ = writeln!(out, "commcsl: --stdio cannot be combined with --tcp");
         return EXIT_ERROR;
     }
     let cache_dir = locations.cache_dir.clone();
 
-    // One shared-nothing server per shard, each with its own disk cache
-    // directory (`<cache-dir>/shard{i}` when sharded, `<cache-dir>`
-    // otherwise) and, when `--remote-cache` names a peer daemon, its own
-    // remote obligation tier chained behind memory and disk.
-    let make_server = |disk_dir: PathBuf| {
-        let server = Server::new(
-            ServerConfig {
-                threads,
-                cache: CacheConfig {
-                    memory_capacity: memory.max(1),
-                    disk_dir: Some(disk_dir),
-                    ..Default::default()
-                },
-                verifier: VerifierConfig::default(),
+    // One server behind every endpoint; when `--remote-cache` names a
+    // peer daemon, its obligation tier is chained behind memory and disk.
+    let server = Server::new(
+        ServerConfig {
+            threads,
+            cache: CacheConfig {
+                memory_capacity: memory.max(1),
+                disk_dir: Some(cache_dir.clone()),
                 ..Default::default()
             },
-            Box::new(|src| compile(src).map_err(|e| e.to_string())),
-        );
-        if let Some(addr) = &remote_cache {
-            server.set_remote_cache(Box::new(RemoteCacheClient::new(addr.clone())));
-        }
-        server
-    };
+            verifier: VerifierConfig::default(),
+            ..Default::default()
+        },
+        Box::new(|src| compile(src).map_err(|e| e.to_string())),
+    );
+    if let Some(addr) = remote_cache {
+        server.set_remote_cache(Box::new(RemoteCacheClient::new(addr)));
+    }
 
     if let Some(addr) = &locations.tcp {
         // Bind first, announce after: the "listening" line is the
@@ -1673,23 +1651,12 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
             }
         };
         println!(
-            "commcsl: daemon listening on tcp://{actual} (cache {}, {shards} shard{})",
+            "commcsl: daemon listening on tcp://{actual} (cache {})",
             cache_dir.display(),
-            if shards == 1 { "" } else { "s" },
         );
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        let served = if shards > 1 {
-            let pool = ShardPool::new(
-                (0..shards)
-                    .map(|i| Arc::new(make_server(cache_dir.join(format!("shard{i}")))))
-                    .collect(),
-            );
-            pool.serve_tcp(&listener)
-        } else {
-            make_server(cache_dir).serve_tcp(&listener)
-        };
-        return match served {
+        return match server.serve_tcp(&listener) {
             Ok(()) => {
                 let _ = writeln!(out, "commcsl: daemon shut down cleanly");
                 EXIT_OK
@@ -1702,7 +1669,6 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
     }
 
     let socket = locations.socket_path();
-    let server = make_server(cache_dir.clone());
 
     if stdio {
         let stdin = std::io::stdin();
@@ -1851,17 +1817,14 @@ fn run_daemon(args: &[String], out: &mut String) -> i32 {
                         status.solver_checked,
                         status.bytes_streamed,
                     );
-                    // Cluster lines: only daemons that report an
-                    // endpoint / remote tier / shard table get them, so
-                    // pre-cluster daemons render exactly as before.
+                    // Endpoint lines: only daemons that report a
+                    // listener / remote tier get them, so older daemons
+                    // render exactly as before.
                     if !status.transport.is_empty() {
                         let _ = writeln!(
                             out,
-                            "listen: {}://{} ({} shard{})",
-                            status.transport,
-                            status.addr,
-                            status.shards,
-                            if status.shards == 1 { "" } else { "s" },
+                            "listen: {}://{}",
+                            status.transport, status.addr,
                         );
                     }
                     if !status.remote.is_empty() {
@@ -1872,19 +1835,6 @@ fn run_daemon(args: &[String], out: &mut String) -> i32 {
                             status.remote_hits,
                             status.remote_misses,
                             status.remote_stores,
-                        );
-                    }
-                    for shard in &status.per_shard {
-                        let _ = writeln!(
-                            out,
-                            "shard {}: {}, {} documents, {} programs, \
-                             {} obligation hits, {} misses",
-                            shard.shard,
-                            if shard.alive { "alive" } else { "dead" },
-                            shard.documents,
-                            shard.programs,
-                            shard.obligation_hits,
-                            shard.obligation_misses,
                         );
                     }
                 }
@@ -1960,16 +1910,6 @@ fn render_top_frame(
         status.misses,
         status.hit_rate() * 100.0,
     );
-    if status.shards > 1 || !status.per_shard.is_empty() {
-        let _ = writeln!(
-            frame,
-            "shards: {} live / {} total; remote cache: {} hits, {} misses",
-            status.shards,
-            status.per_shard.len().max(status.shards as usize),
-            status.remote_hits,
-            status.remote_misses,
-        );
-    }
     if hists.is_empty() {
         let _ = writeln!(frame, "no requests served yet");
     } else {

@@ -19,7 +19,7 @@
 //! (their reads poll a shared flag), and the socket file is removed.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -168,19 +168,6 @@ pub struct Session {
     workspace: Workspace,
 }
 
-impl Session {
-    /// The protocol version this session negotiated (defaults to
-    /// [`PROTOCOL_VERSION`] until a `hello` downgrades it).
-    pub fn protocol(&self) -> u32 {
-        self.protocol
-    }
-
-    /// Whether `open`/`update` responses stream events.
-    pub fn subscribed(&self) -> bool {
-        self.subscribed
-    }
-}
-
 impl Server {
     /// Creates a daemon with the given compiler for incoming sources.
     pub fn new(config: ServerConfig, compile: CompileFn) -> Self {
@@ -222,17 +209,6 @@ impl Server {
             endpoint: Mutex::new((String::new(), String::new())),
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Records the live listener's endpoint for `status` reporting.
-    /// Serve loops call this after binding; an external router serving
-    /// this shard may call it with the router's endpoint instead.
-    pub fn set_endpoint(&self, transport: &str, addr: &str) {
-        let mut endpoint = self
-            .endpoint
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *endpoint = (transport.to_owned(), addr.to_owned());
     }
 
     /// Chains a remote obligation-cache tier behind the local memory and
@@ -312,12 +288,10 @@ impl Server {
             threads: self.threads as u64,
             transport,
             addr,
-            shards: 1,
             remote: remote.unwrap_or_default(),
             remote_hits: cache.remote_hits,
             remote_misses: cache.remote_misses,
             remote_stores: cache.remote_stores,
-            per_shard: Vec::new(),
         }
     }
 
@@ -850,7 +824,7 @@ impl Server {
 
     /// Releases a finished session's open documents from the server-wide
     /// gauge (the cache, of course, stays). Serve loops call this when a
-    /// connection ends; external routers holding [`Session`]s must too.
+    /// connection ends; callers holding their own [`Session`]s must too.
     pub fn release_session(&self, session: &Session) {
         let open = session.workspace.open_documents().count() as i64;
         if open > 0 {
@@ -886,7 +860,10 @@ impl Server {
 
     /// Runs one NDJSON session over a reader/writer pair until EOF or
     /// shutdown. This is the stdio transport (`commcsl serve --stdio`)
-    /// and the per-connection loop of the socket transport.
+    /// and the per-connection loop of the socket transports. A line
+    /// longer than [`MAX_LINE_BYTES`] is answered with an error and ends
+    /// the session: its tail is never read, so the stream cannot
+    /// resynchronize.
     ///
     /// # Errors
     ///
@@ -899,42 +876,73 @@ impl Server {
         mut writer: impl Write,
     ) -> io::Result<()> {
         let mut session = self.new_session();
-        let result =
-            for_each_ndjson_line(reader, &|| self.shutdown_requested(), |line| {
-                // Each response (and each streamed event) is flushed
-                // as soon as it is rendered, so subscribed clients
-                // see obligations settle live.
-                let mut emit = |json: &Json| -> io::Result<()> {
-                    let rendered = json.to_string();
-                    writeln!(writer, "{rendered}")?;
-                    writer.flush()?;
-                    self.bytes_streamed
-                        .fetch_add(rendered.len() as u64 + 1, Ordering::Relaxed);
-                    Ok(())
-                };
-                let stop = match std::str::from_utf8(line) {
-                    Ok(text) if text.trim().is_empty() => false,
-                    Ok(text) => {
+        // Each response (and each streamed event) is flushed as soon as
+        // it is rendered, so subscribed clients see obligations settle
+        // live.
+        let mut emit = |json: &Json| -> io::Result<()> {
+            let rendered = json.to_string();
+            writeln!(writer, "{rendered}")?;
+            writer.flush()?;
+            self.bytes_streamed
+                .fetch_add(rendered.len() as u64 + 1, Ordering::Relaxed);
+            Ok(())
+        };
+        let result = for_each_ndjson_line(
+            reader,
+            MAX_LINE_BYTES,
+            &|| self.shutdown_requested(),
+            |line| {
+                let stop = match line.map(std::str::from_utf8) {
+                    Some(Ok(text)) if text.trim().is_empty() => false,
+                    Some(Ok(text)) => {
                         self.handle_session_line(&mut session, text, &mut emit)?
                     }
-                    Err(_) => {
-                        let request_id = self.assign_request_id();
-                        let message = "bad request: line is not UTF-8";
-                        self.observe_decode_error(&request_id, message);
-                        emit(&with_request_id(&error_json(message), &request_id))?;
+                    Some(Err(_)) => {
+                        self.reject_line("bad request: line is not UTF-8", &mut emit)?;
                         false
+                    }
+                    None => {
+                        self.reject_line(
+                            &format!(
+                                "bad request: request line longer than \
+                                 {MAX_LINE_BYTES} bytes"
+                            ),
+                            &mut emit,
+                        )?;
+                        true
                     }
                 };
                 Ok(stop || self.shutdown_requested())
-            });
+            },
+        );
         // The connection's workspace dies with it.
         self.release_session(&session);
         result
     }
+
+    /// Answers a line that never reached the request decoder (not UTF-8,
+    /// or over the length cap): a stamped error, counted as a decode
+    /// error.
+    fn reject_line(
+        &self,
+        message: &str,
+        emit: &mut dyn FnMut(&Json) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let request_id = self.assign_request_id();
+        self.observe_decode_error(&request_id, message);
+        emit(&with_request_id(&error_json(message), &request_id))
+    }
 }
 
+/// The longest request line a session accepts, newline excluded: 64 MiB,
+/// over 100x the largest generated program.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
 /// Reads NDJSON lines from `reader` and feeds each (newline included) to
-/// `on_line` until EOF, shutdown, or `on_line` returns `Ok(true)`.
+/// `on_line` until EOF, shutdown, or `on_line` returns `Ok(true)`. A line
+/// longer than `max_line` bytes (newline excluded) is fed as `None`,
+/// after which the loop ends: reads go through `take`, so at most
+/// `max_line + 1` bytes of it are ever buffered.
 ///
 /// The framing is length-robust: lines accumulate as raw bytes via
 /// `read_until`, so input split at arbitrary byte boundaries — 1-byte
@@ -945,27 +953,33 @@ impl Server {
 /// errors (`WouldBlock`/`TimedOut`/`Interrupted`) poll `shutdown` and
 /// continue, so sessions with a read timeout drain promptly; other I/O
 /// errors propagate.
-pub fn for_each_ndjson_line(
+fn for_each_ndjson_line(
     reader: impl io::Read,
+    max_line: usize,
     shutdown: &dyn Fn() -> bool,
-    mut on_line: impl FnMut(&[u8]) -> io::Result<bool>,
+    mut on_line: impl FnMut(Option<&[u8]>) -> io::Result<bool>,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(reader);
     let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) if !line.ends_with(b"\n") => {
-                // EOF in the middle of a line: nothing more is coming.
-                return Ok(());
-            }
-            Ok(_) => {
-                let stop = on_line(&line)?;
+        // Room for the rest of a `max_line`-byte line and its newline
+        // (always at least one byte: a full budget returns below).
+        let budget = (max_line + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
+            Ok(_) if line.ends_with(b"\n") => {
+                let stop = on_line(Some(&line))?;
                 line.clear();
                 if stop || shutdown() {
                     return Ok(());
                 }
             }
+            Ok(_) if line.len() > max_line => {
+                on_line(None)?;
+                return Ok(());
+            }
+            // The client hung up, possibly in the middle of a line:
+            // nothing more is coming.
+            Ok(_) => return Ok(()),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -1007,9 +1021,8 @@ fn is_transient_accept_error(e: &io::Error) -> bool {
 }
 
 /// A nonblocking listener the daemon's accept loop can poll. Implemented
-/// for [`TcpListener`] everywhere and `UnixListener` on Unix; the
-/// cluster router reuses the same loop for its shard-routing frontend.
-pub trait Transport {
+/// for [`TcpListener`] everywhere and `UnixListener` on Unix.
+pub(crate) trait Transport {
     /// One accepted connection's stream.
     type Stream: io::Read + io::Write + Send;
 
@@ -1057,39 +1070,6 @@ impl Transport for TcpListener {
             .unwrap_or_default();
         ("tcp".to_owned(), addr)
     }
-}
-
-/// Polls `listener` for connections until `shutdown()`, serving each
-/// accepted stream on its own scoped thread via `serve`. Returns `Ok`
-/// on a clean shutdown; a fatal accept error calls `on_fatal` (which
-/// must release in-flight sessions — they poll the shutdown flag — or
-/// the scope would join forever) and propagates the error.
-pub fn accept_loop<T: Transport + Sync>(
-    listener: &T,
-    shutdown: &(dyn Fn() -> bool + Sync),
-    on_fatal: &(dyn Fn() + Sync),
-    serve: &(dyn Fn(T::Stream) + Sync),
-) -> io::Result<()> {
-    thread::scope(|scope| -> io::Result<()> {
-        while !shutdown() {
-            match listener.poll_accept() {
-                Ok(Some(stream)) => {
-                    scope.spawn(move || serve(stream));
-                }
-                Ok(None) => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if is_transient_accept_error(&e) => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    on_fatal();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    })
 }
 
 impl Server {
@@ -1141,23 +1121,37 @@ impl Server {
     }
 
     /// The generic serve loop behind every listener: records the
-    /// endpoint for `status`, then accepts and serves sessions until
-    /// shutdown.
+    /// endpoint for `status`, then polls for connections until shutdown,
+    /// serving each accepted stream on its own scoped thread. A fatal
+    /// accept error requests shutdown — in-flight sessions poll that
+    /// flag, or the scope would join forever — and propagates.
     fn serve_transport<T: Transport + Sync>(&self, listener: &T) -> io::Result<()> {
-        let (transport, addr) = listener.endpoint();
-        self.set_endpoint(&transport, &addr);
-        accept_loop(
-            listener,
-            &|| self.shutdown_requested(),
-            // Fatal accept errors must release the in-flight sessions
-            // (they poll this flag), or the scope would join forever.
-            &|| self.request_shutdown(),
-            &|stream| {
-                if let Ok((reader, writer)) = T::split(stream) {
-                    let _ = self.serve_stream(reader, writer);
+        *self
+            .endpoint
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = listener.endpoint();
+        thread::scope(|scope| -> io::Result<()> {
+            while !self.shutdown_requested() {
+                match listener.poll_accept() {
+                    Ok(Some(stream)) => {
+                        scope.spawn(move || {
+                            if let Ok((reader, writer)) = T::split(stream) {
+                                let _ = self.serve_stream(reader, writer);
+                            }
+                        });
+                    }
+                    Ok(None) => thread::sleep(Duration::from_millis(20)),
+                    Err(e) if is_transient_accept_error(&e) => {
+                        thread::sleep(Duration::from_millis(20));
+                    }
+                    Err(e) => {
+                        self.request_shutdown();
+                        return Err(e);
+                    }
                 }
-            },
-        )
+            }
+            Ok(())
+        })
     }
 }
 
@@ -1444,6 +1438,31 @@ mod tests {
         assert!(lines[2].contains("\"requests\":"));
         assert!(lines[3].contains("\"shutting_down\":true"));
         assert!(server.shutdown_requested());
+    }
+
+    #[test]
+    fn ndjson_lines_over_the_cap_end_the_session_unbuffered() {
+        // A line of exactly the cap passes; the next is too long, and
+        // nothing after it is read.
+        let mut lines: Vec<Option<Vec<u8>>> = Vec::new();
+        for_each_ndjson_line(&b"abcd\nabcde\nok\n"[..], 4, &|| false, |line| {
+            lines.push(line.map(<[u8]>::to_vec));
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(lines, [Some(b"abcd\n".to_vec()), None]);
+
+        // A 16 MiB line is refused after the cap, having consumed no
+        // more than the cap plus one read buffer of its bytes.
+        let mut long = io::repeat(b'[').take(16 << 20);
+        let mut refused = false;
+        for_each_ndjson_line(&mut long, 1000, &|| false, |line| {
+            refused = line.is_none();
+            Ok(false)
+        })
+        .unwrap();
+        assert!(refused);
+        assert!((16 << 20) - long.limit() <= 1001 + 8 * 1024);
     }
 
     #[test]

@@ -67,12 +67,8 @@ pub mod protocol;
 pub use commcsl_telemetry::json;
 
 pub use client::{connect_with_retry, Client, ClientError};
-pub use daemon::{
-    accept_loop, for_each_ndjson_line, CompileFn, Listen, Server,
-    ServerConfig, Transport,
-};
+pub use daemon::{CompileFn, Listen, Server, ServerConfig};
 pub use json::Json;
 pub use protocol::{
-    CacheTier, Request, ShardStatus, StatusInfo, VerifyItem, VerifyOk,
-    VerifyOutcome,
+    CacheTier, Request, StatusInfo, VerifyItem, VerifyOk, VerifyOutcome,
 };

@@ -751,9 +751,6 @@ pub struct StatusInfo {
     /// Listen address — socket path for `unix`, `host:port` for `tcp`
     /// (empty when unknown).
     pub addr: String,
-    /// Verifier shards behind this endpoint (1 for a plain daemon; a
-    /// pool reports its live shard count).
-    pub shards: u64,
     /// Remote obligation-cache endpoint chained behind the local tiers
     /// (empty when none is configured).
     pub remote: String,
@@ -763,54 +760,6 @@ pub struct StatusInfo {
     pub remote_misses: u64,
     /// Obligation entries published to the remote tier.
     pub remote_stores: u64,
-    /// Per-shard counters (empty for a plain daemon).
-    pub per_shard: Vec<ShardStatus>,
-}
-
-/// Per-shard counters inside a pooled `status` response.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardStatus {
-    /// Shard index on the consistent-hash ring.
-    pub shard: u64,
-    /// Whether the shard is still accepting routed work.
-    pub alive: bool,
-    /// Workspace documents currently open on this shard.
-    pub documents: u64,
-    /// Programs this shard verified or served from cache.
-    pub programs: u64,
-    /// Obligation-tier hits on this shard.
-    pub obligation_hits: u64,
-    /// Obligation-tier misses on this shard.
-    pub obligation_misses: u64,
-}
-
-impl ShardStatus {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("shard", Json::Num(self.shard as f64)),
-            ("alive", Json::Bool(self.alive)),
-            ("documents", Json::Num(self.documents as f64)),
-            ("programs", Json::Num(self.programs as f64)),
-            ("obligation_hits", Json::Num(self.obligation_hits as f64)),
-            (
-                "obligation_misses",
-                Json::Num(self.obligation_misses as f64),
-            ),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> ShardStatus {
-        let num =
-            |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or_default();
-        ShardStatus {
-            shard: num("shard"),
-            alive: doc.get("alive").and_then(Json::as_bool).unwrap_or(true),
-            documents: num("documents"),
-            programs: num("programs"),
-            obligation_hits: num("obligation_hits"),
-            obligation_misses: num("obligation_misses"),
-        }
-    }
 }
 
 impl StatusInfo {
@@ -829,10 +778,11 @@ impl StatusInfo {
         }
     }
 
-    /// Renders the `status` response document. Cluster fields
-    /// (`transport`, `addr`, `remote`, `per_shard`) are emitted only when
-    /// set, so a plain daemon's status stays byte-identical to earlier
-    /// releases modulo the always-present counters.
+    /// Renders the `status` response document. Endpoint fields
+    /// (`transport`, `addr`, `remote`) are emitted only when set, so a
+    /// stdio daemon's status stays byte-identical to earlier releases
+    /// modulo the always-present counters. `shards` is always 1: every
+    /// endpoint is one daemon, and the key stays for older readers.
     pub fn to_json(&self) -> Json {
         let base = Json::obj([
             ("ok", Json::Bool(true)),
@@ -888,7 +838,7 @@ impl StatusInfo {
         if !self.addr.is_empty() {
             fields.push(("addr".to_owned(), Json::str(&self.addr)));
         }
-        fields.push(("shards".to_owned(), Json::Num(self.shards as f64)));
+        fields.push(("shards".to_owned(), Json::Num(1.0)));
         if !self.remote.is_empty() {
             fields.push(("remote".to_owned(), Json::str(&self.remote)));
         }
@@ -904,14 +854,6 @@ impl StatusInfo {
             "remote_stores".to_owned(),
             Json::Num(self.remote_stores as f64),
         ));
-        if !self.per_shard.is_empty() {
-            fields.push((
-                "per_shard".to_owned(),
-                Json::Arr(
-                    self.per_shard.iter().map(ShardStatus::to_json).collect(),
-                ),
-            ));
-        }
         fields.push(("hit_rate".to_owned(), Json::Num(self.hit_rate())));
         Json::Obj(fields)
     }
@@ -986,17 +928,10 @@ impl StatusInfo {
             threads: num("threads")?,
             transport: opt_str("transport"),
             addr: opt_str("addr"),
-            shards: opt_num("shards").max(1),
             remote: opt_str("remote"),
             remote_hits: opt_num("remote_hits"),
             remote_misses: opt_num("remote_misses"),
             remote_stores: opt_num("remote_stores"),
-            per_shard: match doc.get("per_shard") {
-                Some(Json::Arr(items)) => {
-                    items.iter().map(ShardStatus::from_json).collect()
-                }
-                _ => Vec::new(),
-            },
         })
     }
 }
@@ -1865,54 +1800,35 @@ mod tests {
             threads: 0,
             transport: "tcp".into(),
             addr: "127.0.0.1:7411".into(),
-            shards: 2,
             remote: "tcp://127.0.0.1:7412".into(),
             remote_hits: 5,
             remote_misses: 7,
             remote_stores: 6,
-            per_shard: vec![
-                ShardStatus {
-                    shard: 0,
-                    alive: true,
-                    documents: 2,
-                    programs: 20,
-                    obligation_hits: 30,
-                    obligation_misses: 1,
-                },
-                ShardStatus {
-                    shard: 1,
-                    alive: false,
-                    documents: 1,
-                    programs: 16,
-                    obligation_hits: 10,
-                    obligation_misses: 1,
-                },
-            ],
         };
         let line = status.to_json().to_string();
-        // `hit_rate` stays the LAST field even with cluster fields
-        // appended (the human renderer and jq recipes in docs pin this).
+        // `hit_rate` stays the LAST field even with endpoint fields
+        // appended (the human renderer and jq recipes in docs pin this),
+        // and `shards` stays on the wire at 1.
         assert!(line.ends_with(",\"hit_rate\":0.5}"), "{line}");
+        assert!(line.contains(",\"shards\":1,"), "{line}");
         let doc = Json::parse(&line).unwrap();
         let back = StatusInfo::from_json(&doc).unwrap();
         assert_eq!(back, status);
         assert!((back.hit_rate() - 0.5).abs() < 1e-9);
         assert!(StatusInfo::from_json(&error_json("down")).is_err());
 
-        // A plain daemon (no transport/addr/remote, no shard table)
-        // omits the empty cluster fields entirely so its status stays
+        // A stdio daemon (no transport/addr/remote) omits the empty
+        // endpoint fields entirely so its status stays
         // parseable-as-before, and the omitted fields roundtrip to their
-        // defaults (`shards` floors at 1).
+        // defaults.
         let plain = StatusInfo {
-            shards: 1,
             transport: String::new(),
             addr: String::new(),
             remote: String::new(),
-            per_shard: Vec::new(),
             ..status
         };
         let line = plain.to_json().to_string();
-        for absent in ["transport", "addr", "\"remote\"", "per_shard"] {
+        for absent in ["transport", "addr", "\"remote\""] {
             assert!(!line.contains(absent), "{line}");
         }
         let back = StatusInfo::from_json(&Json::parse(&line).unwrap()).unwrap();
@@ -1938,13 +1854,11 @@ mod tests {
         // v1 and early-v2 daemons, parsed as empty defaults.
         assert_eq!(back.started_at_unix_ms, 0);
         assert!(back.ops.is_empty());
-        // Cluster fields (newer still) default too: one shard, no
-        // transport/remote info, no per-shard table.
-        assert_eq!(back.shards, 1);
+        // Endpoint fields (newer still) default too: no transport or
+        // remote info.
         assert_eq!(back.transport, "");
         assert_eq!(back.remote, "");
         assert_eq!(back.remote_hits, 0);
-        assert!(back.per_shard.is_empty());
     }
 
     #[test]

@@ -366,3 +366,52 @@ fn deeply_nested_request_line_is_an_error_response_not_a_crash() {
     });
     fs::remove_dir_all(&base).ok();
 }
+
+#[test]
+fn oversized_request_line_is_an_error_response_then_the_connection_closes() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    use commcsl_server::daemon::MAX_LINE_BYTES;
+
+    let base = temp_base("long-line");
+    let socket = base.join("commcsl.sock");
+    let server = front_server(CacheConfig::memory_only(16));
+
+    thread::scope(|scope| {
+        let _stop = StopOnDrop(&server);
+        let daemon = scope.spawn(|| server.serve_unix(&socket));
+        connect_or_start(&socket, Duration::from_secs(5), || Ok(())).expect("daemon up");
+
+        // One byte over the cap, with no newline in sight: the session
+        // refuses it as soon as the cap is crossed.
+        let mut raw = UnixStream::connect(&socket).expect("raw connection");
+        let chunk = vec![b'x'; 1 << 20];
+        let mut sent = 0;
+        while sent <= MAX_LINE_BYTES {
+            let n = chunk.len().min(MAX_LINE_BYTES + 1 - sent);
+            raw.write_all(&chunk[..n]).expect("send");
+            sent += n;
+        }
+        let mut reader = BufReader::new(&raw);
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("response");
+        assert!(response.starts_with("{\"ok\":false"), "{response}");
+        assert!(
+            response.contains(&format!("request line longer than {MAX_LINE_BYTES} bytes")),
+            "{response}"
+        );
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("connection closes");
+        assert!(rest.is_empty(), "nothing follows the error");
+        drop(raw);
+
+        // The daemon is still up for new connections.
+        let mut client = Client::connect(&socket).expect("new session");
+        let status = client.status().expect("status still answers");
+        assert!(status.requests >= 1, "{status:?}");
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("no panic").expect("clean exit");
+    });
+    fs::remove_dir_all(&base).ok();
+}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Cluster smoke test: start a 2-shard TCP daemon, push the corpus
+# Cluster smoke test: start a TCP daemon, push the corpus
 # through it twice (cold then warm), then start a *second* daemon that
 # chains the first as its remote obligation-cache tier, push the same
 # corpus through it, and assert (a) the second daemon's reports are
@@ -13,10 +13,10 @@ BIN=${1:-./target/release/commcsl}
 WORK=$(mktemp -d)
 
 cleanup() {
-    kill "$POOL_PID" "$EDGE_PID" 2>/dev/null || true
+    kill "$PEER_PID" "$EDGE_PID" 2>/dev/null || true
     rm -rf "$WORK"
 }
-POOL_PID=""
+PEER_PID=""
 EDGE_PID=""
 trap cleanup EXIT
 
@@ -33,40 +33,38 @@ wait_addr() {
     echo "$addr"
 }
 
-"$BIN" serve --tcp 127.0.0.1:0 --shards 2 --cache-dir "$WORK/pool-cache" \
-    > "$WORK/pool.log" 2>&1 &
-POOL_PID=$!
-ADDR1=$(wait_addr "$WORK/pool.log")
-echo "cluster smoke: 2-shard pool on tcp://$ADDR1"
+"$BIN" serve --tcp 127.0.0.1:0 --cache-dir "$WORK/peer-cache" \
+    > "$WORK/peer.log" 2>&1 &
+PEER_PID=$!
+ADDR1=$(wait_addr "$WORK/peer.log")
+echo "cluster smoke: peer daemon on tcp://$ADDR1"
 
-# Two passes through the pool: cold, then warm from the shard caches.
-run_pool() {
+# Two passes through the peer: cold, then warm from its cache.
+run_peer() {
     "$BIN" verify --daemon --tcp "$ADDR1" --json "$@"
 }
-run_pool examples/programs > "$WORK/pool_pass1.json"
-run_pool examples/programs > "$WORK/pool_pass2.json"
-run_pool --expect rejected examples/rejected > "$WORK/pool_rejected.json"
+run_peer examples/programs > "$WORK/peer_pass1.json"
+run_peer examples/programs > "$WORK/peer_pass2.json"
+run_peer --expect rejected examples/rejected > "$WORK/peer_rejected.json"
 
 STATUS1=$("$BIN" daemon status --tcp "$ADDR1" --json)
-echo "cluster smoke: pool status = $STATUS1"
-python3 - "$STATUS1" "$WORK/pool_pass1.json" "$WORK/pool_pass2.json" <<'EOF'
+echo "cluster smoke: peer status = $STATUS1"
+python3 - "$STATUS1" "$WORK/peer_pass1.json" "$WORK/peer_pass2.json" <<'EOF'
 import json, sys
 s = json.loads(sys.argv[1])
 assert s["transport"] == "tcp", s
-assert s["shards"] == 2, s
-assert len(s["per_shard"]) == 2, s
-assert sum(sh["programs"] for sh in s["per_shard"]) >= 18, s["per_shard"]
+assert s["programs"] >= 18, s
 p1 = json.loads(open(sys.argv[2]).read())
 p2 = json.loads(open(sys.argv[3]).read())
 assert p1["summary"]["engine"] == "daemon", p1["summary"]
 assert p2["summary"]["engine"] == "daemon", p2["summary"]
 reports1 = {r["file"]: r["report"] for r in p1["results"]}
 reports2 = {r["file"]: r["report"] for r in p2["results"]}
-assert reports1 == reports2, "warm pool pass changed a report"
+assert reports1 == reports2, "warm peer pass changed a report"
 assert all(r["cached"] for r in p2["results"]), "second pass not cached"
 EOF
 
-# The edge daemon: fresh caches, the pool chained in as its remote
+# The edge daemon: fresh caches, the peer chained in as its remote
 # obligation tier over cache_get/cache_put.
 "$BIN" serve --tcp 127.0.0.1:0 --cache-dir "$WORK/edge-cache" --remote-cache "$ADDR1" \
     > "$WORK/edge.log" 2>&1 &
@@ -79,8 +77,8 @@ echo "cluster smoke: edge daemon on tcp://$ADDR2 (remote cache tcp://$ADDR1)"
 
 STATUS2=$("$BIN" daemon status --tcp "$ADDR2" --json)
 echo "cluster smoke: edge status = $STATUS2"
-python3 - "$STATUS2" "$ADDR1" "$WORK/pool_pass1.json" "$WORK/edge_pass.json" \
-    "$WORK/pool_rejected.json" "$WORK/edge_rejected.json" <<'EOF'
+python3 - "$STATUS2" "$ADDR1" "$WORK/peer_pass1.json" "$WORK/edge_pass.json" \
+    "$WORK/peer_rejected.json" "$WORK/edge_rejected.json" <<'EOF'
 import json, sys
 s = json.loads(sys.argv[1])
 assert s["remote"] == f"tcp://{sys.argv[2]}", s
@@ -88,20 +86,20 @@ hits, misses = s["remote_hits"], s["remote_misses"]
 assert hits > 0, s
 assert hits >= 0.9 * (hits + misses), \
     f"remote tier served {hits}/{hits + misses} obligation lookups"
-for pool_path, edge_path in [(sys.argv[3], sys.argv[4]), (sys.argv[5], sys.argv[6])]:
-    pool = json.loads(open(pool_path).read())
+for peer_path, edge_path in [(sys.argv[3], sys.argv[4]), (sys.argv[5], sys.argv[6])]:
+    peer = json.loads(open(peer_path).read())
     edge = json.loads(open(edge_path).read())
     assert edge["summary"]["engine"] == "daemon", edge["summary"]
-    pool_reports = {r["file"]: r["report"] for r in pool["results"]}
+    peer_reports = {r["file"]: r["report"] for r in peer["results"]}
     edge_reports = {r["file"]: r["report"] for r in edge["results"]}
-    assert pool_reports == edge_reports, \
-        f"remote-hit verdicts differ from the pool's ({edge_path})"
+    assert peer_reports == edge_reports, \
+        f"remote-hit verdicts differ from the peer's ({edge_path})"
 EOF
 
 "$BIN" daemon stop --tcp "$ADDR2"
 wait "$EDGE_PID"
 EDGE_PID=""
 "$BIN" daemon stop --tcp "$ADDR1"
-wait "$POOL_PID"
-POOL_PID=""
+wait "$PEER_PID"
+PEER_PID=""
 echo "cluster smoke: OK (clean shutdown)"
